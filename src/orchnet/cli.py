@@ -6,7 +6,8 @@ stdout, and exits with:
 
 * 0: the document is valid / the checked property holds
 * 1: the checked property is violated (a witness is in the report)
-* 2: the input could not be parsed or is not a valid net
+* 2: the input could not be parsed or is not a valid net, or stdout was
+  closed before the report was written
 * 3: undecided (an exploration cap was hit, or synthesis found no witness)
 
 Reports are deterministic: keys are sorted, sets are emitted in sorted
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .attributes import ExtendedDate, format_date, value_sort_key, value_to_json
@@ -68,6 +70,7 @@ def _load_document(ref: str) -> NetDocument:
 
 def _emit(report: dict) -> None:
     print(json.dumps(report, indent=2, sort_keys=True))
+    sys.stdout.flush()  # a closed pipe must fail here, inside main, not at exit
 
 
 def _dates(dates: dict[str, ExtendedDate]) -> dict[str, str]:
@@ -377,6 +380,9 @@ def _cmd_check_conditional(args) -> int:
             "latency_lo": format_date(w.latency_lo),
             "values": [value_to_json(v) for v in w.values],
         }
+        if args.tie == "all":
+            report["witness"]["resolution_hi"] = list(w.resolution_hi)
+            report["witness"]["resolution_lo"] = list(w.resolution_lo)
     _emit(report)
     if result.outcome == "conditionally_monotonic":
         return EXIT_OK
@@ -437,6 +443,16 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    try:
+        return _run(args)
+    except BrokenPipeError:
+        # the reader closed stdout; send what is still buffered to devnull
+        # so that the flush at interpreter exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_INPUT
+
+
+def _run(args) -> int:
     try:
         return args.handler(args)
     except DocumentError as exc:

@@ -24,8 +24,9 @@ value sets; distinct value sets across maximal configurations certify it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 
-from .attributes import DATE_INF, ExtendedDate, Value, date_max
+from .attributes import DATE_INF, ExtendedDate, Value, date_max, value_sort_key
 from .errors import CapExceededError, NetStructureError, SynthesisError
 from .nets import (
     Cluster,
@@ -34,18 +35,16 @@ from .nets import (
     clusters,
     compute_relations,
     maximal_configurations,
-    require_occurrence_net,
 )
 from .specs import LatencySpec
 from .timed import (
     EndToEnd,
     FamilyAssignment,
+    GridIndex,
     OrchNet,
     PreOrchNet,
     compare_families,
     end_to_end,
-    eval_dates,
-    execute,
     execute_all,
     latency_of_prefix,
     summarize_run,
@@ -202,154 +201,128 @@ def brute_force_monotony(
     The verdict is relative to the declared grids ("monotonic over the
     grid"), never a proof over all real-valued families.
     """
-    members = pre.assignments()
-    budget = {"left": eval_cap}
-
-    if tie_break == "lex":
-        memo: dict[tuple[int, int], EndToEnd] = {}
-
-        def result_of(idx: int, omega: int) -> EndToEnd:
-            key = (idx, omega)
-            if key not in memo:
-                if budget["left"] <= 0:
-                    raise CapExceededError(f"oracle exceeded evaluation cap {eval_cap}")
-                budget["left"] -= 1
-                memo[key] = end_to_end(pre.instantiate(members[idx]), omega, "lex")
-            return memo[key]
-
-    elif tie_break == "all":
-        if mode != "all_pairs":
-            raise NetStructureError("adjacent mode requires the deterministic tie policy")
-        all_memo: dict[tuple[int, int], tuple] = {}
-
-        def results_of(idx: int, omega: int):
-            key = (idx, omega)
-            if key not in all_memo:
-                if budget["left"] <= 0:
-                    raise CapExceededError(f"oracle exceeded evaluation cap {eval_cap}")
-                budget["left"] -= 1
-                orch = pre.instantiate(members[idx])
-                runs = execute_all(orch, omega)
-                all_memo[key] = tuple(summarize_run(orch, r) for r in runs)
-            return all_memo[key]
-
-    else:
-        raise NetStructureError(f"unknown tie_break {tie_break!r}")
-
-    pairs_checked = 0
-
-    def compare_pair(hi_idx: int, lo_idx: int) -> OracleWitness | None:
-        nonlocal pairs_checked
-        pairs_checked += 1
-        for omega in range(pre.omega_count):
-            if tie_break == "lex":
-                hi_res = result_of(hi_idx, omega)
-                lo_res = result_of(lo_idx, omega)
-                if hi_res.latency < lo_res.latency:
-                    return OracleWitness(
-                        hi=members[hi_idx],
-                        lo=members[lo_idx],
-                        omega=omega,
-                        latency_hi=hi_res.latency,
-                        latency_lo=lo_res.latency,
-                    )
-            else:
-                # a violation must hold for at least one tie resolution
-                for hi_res in results_of(hi_idx, omega):
-                    for lo_res in results_of(lo_idx, omega):
-                        if hi_res.latency < lo_res.latency:
-                            return OracleWitness(
-                                hi=members[hi_idx],
-                                lo=members[lo_idx],
-                                omega=omega,
-                                latency_hi=hi_res.latency,
-                                latency_lo=lo_res.latency,
-                                resolution_hi=hi_res.run.step_order,
-                                resolution_lo=lo_res.run.step_order,
-                            )
-        return None
-
-    try:
-        if mode == "all_pairs":
-            for hi_idx in range(len(members)):
-                for lo_idx in range(len(members)):
-                    if hi_idx == lo_idx:
-                        continue
-                    if not members[hi_idx].dominates(members[lo_idx]):
-                        continue
-                    witness = compare_pair(hi_idx, lo_idx)
-                    if witness is not None:
-                        return OracleReport(
-                            outcome="non_monotonic",
-                            grid_relative=True,
-                            witness=witness,
-                            members_checked=len(members),
-                            pairs_checked=pairs_checked,
-                        )
-        elif mode == "adjacent":
-            index_of = {m.sort_key(): i for i, m in enumerate(members)}
-            for lo_idx, lo in enumerate(members):
-                for hi in _adjacent_raises(pre, lo):
-                    hi_idx = index_of[hi.sort_key()]
-                    witness = compare_pair(hi_idx, lo_idx)
-                    if witness is not None:
-                        return OracleReport(
-                            outcome="non_monotonic",
-                            grid_relative=True,
-                            witness=witness,
-                            members_checked=len(members),
-                            pairs_checked=pairs_checked,
-                        )
-        else:
-            raise NetStructureError(f"unknown oracle mode {mode!r}")
-    except CapExceededError as exc:
-        return OracleReport(
-            outcome="undecided",
-            grid_relative=True,
-            witness=None,
-            members_checked=len(members),
-            pairs_checked=pairs_checked,
-            note=str(exc),
+    if tie_break == "all" and mode != "all_pairs":
+        raise NetStructureError("adjacent mode requires the deterministic tie policy")
+    sweep = _sweep(
+        pre,
+        mode,
+        _resolutions(tie_break),
+        lambda hi, lo: hi.latency < lo.latency,
+        eval_cap,
+        f"oracle exceeded evaluation cap {eval_cap}",
+    )
+    witness = None
+    if sweep.hit is not None:
+        hi, lo, omega, hi_res, lo_res = sweep.hit
+        witness = OracleWitness(
+            hi=hi,
+            lo=lo,
+            omega=omega,
+            latency_hi=hi_res.latency,
+            latency_lo=lo_res.latency,
+            resolution_hi=hi_res.run.step_order if tie_break == "all" else (),
+            resolution_lo=lo_res.run.step_order if tie_break == "all" else (),
         )
-
     return OracleReport(
-        outcome="monotonic",
+        outcome=sweep.outcome("monotonic"),
         grid_relative=True,
-        witness=None,
-        members_checked=len(members),
-        pairs_checked=pairs_checked,
+        witness=witness,
+        members_checked=pre.member_count(),
+        pairs_checked=sweep.pairs_checked,
+        note=sweep.note,
     )
 
 
-def _adjacent_raises(pre: PreOrchNet, member: FamilyAssignment):
-    """Members equal to ``member`` except one coordinate raised to the next
-    larger grid value."""
-    class_values = dict(member.class_values)
-    place_values = dict(member.place_values)
-    for cls, current in member.class_values:
-        if current is None:
-            continue
-        ladder = sorted(set(pre.class_grid[cls]))
-        pos = ladder.index(current)
-        if pos + 1 < len(ladder):
-            raised = dict(class_values)
-            raised[cls] = ladder[pos + 1]
-            yield FamilyAssignment(
-                class_values=tuple(sorted(raised.items())),
-                place_values=member.place_values,
-            )
-    for p, current in member.place_values:
-        if current is None:
-            continue
-        ladder = sorted(set(pre.place_grid[p]))
-        pos = ladder.index(current)
-        if pos + 1 < len(ladder):
-            raised = dict(place_values)
-            raised[p] = ladder[pos + 1]
-            yield FamilyAssignment(
-                class_values=member.class_values,
-                place_values=tuple(sorted(raised.items())),
-            )
+def _resolutions(tie_break: str):
+    """The end-to-end outcomes of one member at one omega under a tie
+    policy: the single lex run, or one per distinct tie resolution."""
+    if tie_break == "lex":
+        return lambda orch, omega: (end_to_end(orch, omega, "lex"),)
+    if tie_break == "all":
+        return lambda orch, omega: tuple(summarize_run(orch, r) for r in execute_all(orch, omega))
+    raise NetStructureError(f"unknown tie_break {tie_break!r}")
+
+
+@dataclass(frozen=True)
+class _SweepResult:
+    # (hi member, lo member, omega, hi outcome, lo outcome) of the first violation
+    hit: tuple[FamilyAssignment, FamilyAssignment, int, EndToEnd, EndToEnd] | None
+    pairs_checked: int
+    note: str  # the cap message when the evaluation budget ran out
+
+    def outcome(self, holds: str) -> str:
+        if self.note:
+            return "undecided"
+        return "non_monotonic" if self.hit is not None else holds
+
+
+def _sweep(pre: PreOrchNet, mode: str, evaluate, violates, eval_cap: int, cap_message: str) -> _SweepResult:
+    """Walk dominating member pairs (hi, lo) in canonical order and stop at
+    the first violation.
+
+    ``evaluate(orch, omega)`` gives the outcomes of one member, memoised
+    per (member index, omega) and charged to one budget of ``eval_cap``
+    evaluations.  A pair violates at an omega when ``violates(h, l)``
+    holds for some hi outcome h and lo outcome l.
+    """
+    grid = pre.grid_index
+    memo: dict[tuple[int, int], tuple[EndToEnd, ...]] = {}
+    budget = eval_cap
+    pairs_checked = 0
+
+    def outcomes(idx: int, omega: int) -> tuple[EndToEnd, ...]:
+        nonlocal budget
+        key = (idx, omega)
+        if key not in memo:
+            if budget <= 0:
+                raise CapExceededError(cap_message)
+            budget -= 1
+            memo[key] = evaluate(pre.instantiate(grid.member(idx)), omega)
+        return memo[key]
+
+    try:
+        for hi_idx, lo_idx in _dominating_pairs(grid, mode):
+            pairs_checked += 1
+            for omega in range(pre.omega_count):
+                hi_all = outcomes(hi_idx, omega)
+                lo_all = outcomes(lo_idx, omega)
+                for h in hi_all:
+                    for l in lo_all:
+                        if violates(h, l):
+                            hit = (grid.member(hi_idx), grid.member(lo_idx), omega, h, l)
+                            return _SweepResult(hit, pairs_checked, "")
+    except CapExceededError as exc:
+        return _SweepResult(None, pairs_checked, str(exc))
+    return _SweepResult(None, pairs_checked, "")
+
+
+def _dominating_pairs(grid: GridIndex, mode: str):
+    """Index pairs (hi, lo) with hi dominating lo, hi != lo.
+
+    "adjacent": for each lo in index order, raise one coordinate at a time
+    to its next larger value.  "all_pairs": for each hi in index order, the
+    dominated lo in increasing index order, as the product of the
+    per-coordinate dominated digits.
+    """
+    radices = [range(len(ds)) for ds in grid.digits]
+    if mode == "adjacent":
+        for lo, digits in enumerate(product(*radices)):
+            for k, d in enumerate(digits):
+                up = grid.raises[k][d]
+                if up is not None:
+                    yield lo + (up - d) * grid.strides[k], lo
+    elif mode == "all_pairs":
+        offsets = [
+            [tuple(e * stride for e in lows) for lows in per_digit]
+            for per_digit, stride in zip(grid.dominated, grid.strides)
+        ]
+        for hi, digits in enumerate(product(*radices)):
+            for parts in product(*(offsets[k][d] for k, d in enumerate(digits))):
+                lo = sum(parts)
+                if lo != hi:
+                    yield hi, lo
+    else:
+        raise NetStructureError(f"unknown oracle mode {mode!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -797,7 +770,7 @@ def check_distinct_values(orch: OrchNet, config_cap: int = 100_000) -> DistinctV
         for config in configs:
             values = values_of_configuration(orch, omega, config)
             if values in seen:
-                ordered = tuple(sorted(values, key=str))
+                ordered = tuple(sorted(values, key=value_sort_key))
                 return DistinctValuesReport(
                     holds=False,
                     witness=DistinctValuesWitness(
@@ -820,6 +793,8 @@ class ConditionalWitness:
     latency_hi: ExtendedDate
     latency_lo: ExtendedDate
     values: tuple[Value, ...]
+    resolution_hi: tuple[str, ...] = field(default=())
+    resolution_lo: tuple[str, ...] = field(default=())
 
 
 @dataclass(frozen=True)
@@ -861,49 +836,31 @@ def conditional_monotony_check(
             witness=None,
         )
 
-    members = pre.assignments()
-    budget = {"left": eval_cap}
-    memo: dict[tuple[int, int], EndToEnd] = {}
-
-    def result_of(idx: int, omega: int) -> EndToEnd:
-        key = (idx, omega)
-        if key not in memo:
-            if budget["left"] <= 0:
-                raise CapExceededError(f"conditional check exceeded evaluation cap {eval_cap}")
-            budget["left"] -= 1
-            memo[key] = end_to_end(pre.instantiate(members[idx]), omega, tie_break)
-        return memo[key]
-
-    try:
-        for hi_idx in range(len(members)):
-            for lo_idx in range(len(members)):
-                if hi_idx == lo_idx or not members[hi_idx].dominates(members[lo_idx]):
-                    continue
-                for omega in range(pre.omega_count):
-                    hi_res = result_of(hi_idx, omega)
-                    lo_res = result_of(lo_idx, omega)
-                    if hi_res.values == lo_res.values and hi_res.latency < lo_res.latency:
-                        return ConditionalReport(
-                            outcome="non_monotonic",
-                            path="brute_force",
-                            grid_relative=True,
-                            witness=ConditionalWitness(
-                                hi=members[hi_idx],
-                                lo=members[lo_idx],
-                                omega=omega,
-                                latency_hi=hi_res.latency,
-                                latency_lo=lo_res.latency,
-                                values=tuple(sorted(hi_res.values, key=str)),
-                            ),
-                        )
-    except CapExceededError as exc:
-        return ConditionalReport(
-            outcome="undecided", path="brute_force", grid_relative=True,
-            witness=None, note=str(exc),
+    sweep = _sweep(
+        pre,
+        "all_pairs",
+        _resolutions(tie_break),
+        lambda hi, lo: hi.values == lo.values and hi.latency < lo.latency,
+        eval_cap,
+        f"conditional check exceeded evaluation cap {eval_cap}",
+    )
+    witness = None
+    if sweep.hit is not None:
+        hi, lo, omega, hi_res, lo_res = sweep.hit
+        witness = ConditionalWitness(
+            hi=hi,
+            lo=lo,
+            omega=omega,
+            latency_hi=hi_res.latency,
+            latency_lo=lo_res.latency,
+            values=tuple(sorted(hi_res.values, key=value_sort_key)),
+            resolution_hi=hi_res.run.step_order if tie_break == "all" else (),
+            resolution_lo=lo_res.run.step_order if tie_break == "all" else (),
         )
     return ConditionalReport(
-        outcome="conditionally_monotonic",
+        outcome=sweep.outcome("conditionally_monotonic"),
         path="brute_force",
         grid_relative=True,
-        witness=None,
+        witness=witness,
+        note=sweep.note,
     )

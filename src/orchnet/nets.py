@@ -247,6 +247,8 @@ class Diagnostic:
 class OccurrenceCheck:
     ok: bool
     diagnostics: tuple[Diagnostic, ...]
+    # the causality/conflict tables, computed whenever the flow is acyclic
+    relations: NodeRelations | None = field(default=None, compare=False, repr=False)
 
 
 def validate_occurrence_net(net: Net) -> OccurrenceCheck:
@@ -291,6 +293,7 @@ def validate_occurrence_net(net: Net) -> OccurrenceCheck:
             )
         )
 
+    rel = None
     if cyc is None:
         rel = compute_relations(net)
         for x in sorted(rel.self_conflicts()):
@@ -302,7 +305,7 @@ def validate_occurrence_net(net: Net) -> OccurrenceCheck:
                 )
             )
 
-    return OccurrenceCheck(ok=not diags, diagnostics=tuple(diags))
+    return OccurrenceCheck(ok=not diags, diagnostics=tuple(diags), relations=rel)
 
 
 @lru_cache(maxsize=512)
@@ -311,7 +314,7 @@ def _validated_relations(net: Net) -> NodeRelations:
     if not check.ok:
         msgs = "; ".join(d.message for d in check.diagnostics)
         raise NetStructureError(f"not an occurrence net: {msgs}")
-    return compute_relations(net)
+    return check.relations
 
 
 def require_occurrence_net(net: Net) -> NodeRelations:

@@ -21,6 +21,7 @@ the run is flagged stalled, and the end-to-end latency is infinite.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from .attributes import DATE_INF, DATE_ZERO, ExtendedDate, Value, atom, date_max
 from .errors import CapExceededError, EvaluationError, NetStructureError
@@ -457,26 +458,83 @@ class FamilyAssignment:
     class_values: tuple[tuple[str, ExtendedDate | None], ...]
     place_values: tuple[tuple[str, ExtendedDate | None], ...]
 
-    def sort_key(self):
-        return (
-            tuple((c, v is None, str(v)) for c, v in self.class_values),
-            tuple((p, v is None, str(v)) for p, v in self.place_values),
-        )
-
     def dominates(self, other: "FamilyAssignment") -> bool:
-        for (c, v), (c2, v2) in zip(self.class_values, other.class_values):
+        mine = self.class_values + self.place_values
+        for (c, v), (c2, v2) in zip(mine, other.class_values + other.place_values):
             assert c == c2
             if v is None and v2 is None:
                 continue
             if v is None or v2 is None or v < v2:
                 return False
-        for (p, v), (p2, v2) in zip(self.place_values, other.place_values):
-            assert p == p2
-            if v is None and v2 is None:
-                continue
-            if v is None or v2 is None or v < v2:
-                return False
         return True
+
+
+@dataclass(frozen=True)
+class GridIndex:
+    """Mixed-radix numbering of the members of a pre-orchnet's grid.
+
+    Coordinates are the sorted class ids, then the sorted minimal places;
+    the first coordinate is the most significant digit.  A coordinate's
+    digits are its grid values sorted by their string form (``"10"``
+    before ``"2"``); a coordinate without a grid has the single digit
+    None.  Index order is therefore the canonical member order.
+    """
+
+    class_ids: tuple[str, ...]
+    place_ids: tuple[str, ...]
+    digits: tuple[tuple[ExtendedDate | None, ...], ...]
+    strides: tuple[int, ...]
+    # per coordinate and digit: the digit holding the next larger value
+    raises: tuple[tuple[int | None, ...], ...]
+    # per coordinate and digit: the digits whose value is not larger, ascending
+    dominated: tuple[tuple[tuple[int, ...], ...], ...]
+    size: int
+
+    @classmethod
+    def of(cls, pre: "PreOrchNet") -> "GridIndex":
+        class_ids = tuple(sorted(pre.classes))
+        place_ids = tuple(sorted(pre.net.minimal_places))
+        grids = [pre.class_grid.get(c) for c in class_ids] + [
+            pre.place_grid.get(p) for p in place_ids
+        ]
+        digits, raises, dominated = [], [], []
+        for grid in grids:
+            if grid is None:
+                ds, ladder = (None,), [0]
+            else:
+                ds = tuple(sorted(grid, key=str))
+                ladder = sorted(range(len(ds)), key=ds.__getitem__)  # digits by value
+            up: list[int | None] = [None] * len(ds)
+            for d, nxt in zip(ladder, ladder[1:]):
+                up[d] = nxt
+            rank = {d: r for r, d in enumerate(ladder)}
+            digits.append(ds)
+            raises.append(tuple(up))
+            dominated.append(tuple(tuple(sorted(ladder[: rank[d] + 1])) for d in range(len(ds))))
+        strides: list[int] = []
+        size = 1
+        for ds in reversed(digits):
+            strides.insert(0, size)
+            size *= len(ds)
+        return cls(
+            class_ids=class_ids,
+            place_ids=place_ids,
+            digits=tuple(digits),
+            strides=tuple(strides),
+            raises=tuple(raises),
+            dominated=tuple(dominated),
+            size=size,
+        )
+
+    def member(self, idx: int) -> FamilyAssignment:
+        values = [
+            ds[idx // stride % len(ds)] for ds, stride in zip(self.digits, self.strides)
+        ]
+        n = len(self.class_ids)
+        return FamilyAssignment(
+            class_values=tuple(zip(self.class_ids, values[:n])),
+            place_values=tuple(zip(self.place_ids, values[n:])),
+        )
 
 
 @dataclass(frozen=True)
@@ -513,43 +571,28 @@ class PreOrchNet:
         for p in self.place_grid:
             if p not in self.net.minimal_places:
                 raise NetStructureError(f"grid declared for non-minimal place {p!r}")
+        for kind, grids in (("class", self.class_grid), ("place", self.place_grid)):
+            for key, values in sorted(grids.items()):
+                if not values:
+                    raise NetStructureError(f"grid for {kind} {key!r} is empty")
+                if len(set(values)) != len(values):
+                    raise NetStructureError(f"grid for {kind} {key!r} has duplicate values")
 
-    def class_of(self, t: str) -> str:
-        for cls, members in self.classes.items():
-            if t in members:
-                return cls
-        raise NetStructureError(f"transition {t!r} has no latency class")
+    @cached_property
+    def grid_index(self) -> GridIndex:
+        return GridIndex.of(self)
 
     def assignments(self) -> tuple[FamilyAssignment, ...]:
-        """Every grid member, in canonical order."""
-        class_ids = sorted(self.classes)
-        place_ids = sorted(self.net.minimal_places)
-        options_per_class = [
-            [(c, v) for v in self.class_grid[c]] if c in self.class_grid else [(c, None)]
-            for c in class_ids
-        ]
-        options_per_place = [
-            [(p, v) for v in self.place_grid[p]] if p in self.place_grid else [(p, None)]
-            for p in place_ids
-        ]
-        members: list[FamilyAssignment] = []
+        """Every grid member, in canonical order.
 
-        def expand(option_lists, prefix, out):
-            if not option_lists:
-                out.append(tuple(prefix))
-                return
-            for opt in option_lists[0]:
-                expand(option_lists[1:], prefix + [opt], out)
-
-        class_combos: list[tuple] = []
-        expand(options_per_class, [], class_combos)
-        place_combos: list[tuple] = []
-        expand(options_per_place, [], place_combos)
-        for cc in class_combos:
-            for pc in place_combos:
-                members.append(FamilyAssignment(class_values=cc, place_values=pc))
-        members.sort(key=lambda m: m.sort_key())
-        return tuple(members)
+        The order is lexicographic over the coordinates, classes (by id)
+        before minimal places (by id), and within one coordinate by the
+        string form of the grid value, so ``"10"`` comes before ``"2"``.
+        The oracles walk members in this order and report the first
+        violating pair they meet as the witness.
+        """
+        grid = self.grid_index
+        return tuple(grid.member(i) for i in range(grid.size))
 
     def instantiate(self, assignment: FamilyAssignment) -> OrchNet:
         latency: dict[str, LatencySpec] = {}
@@ -577,22 +620,10 @@ class PreOrchNet:
 
     def baseline(self) -> OrchNet:
         """The member using every declared spec unchanged."""
-        class_ids = sorted(self.classes)
-        place_ids = sorted(self.net.minimal_places)
-        return self.instantiate(
-            FamilyAssignment(
-                class_values=tuple((c, None) for c in class_ids),
-                place_values=tuple((p, None) for p in place_ids),
-            )
-        )
+        return self.instantiate(FamilyAssignment(class_values=(), place_values=()))
 
     def member_count(self) -> int:
-        n = 1
-        for c in sorted(self.classes):
-            n *= len(self.class_grid.get(c, ())) or 1
-        for p in sorted(self.net.minimal_places):
-            n *= len(self.place_grid.get(p, ())) or 1
-        return n
+        return self.grid_index.size
 
 
 def replace_class_latency(pre: PreOrchNet, cls: str, spec: LatencySpec) -> PreOrchNet:

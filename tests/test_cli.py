@@ -1,6 +1,9 @@
 """CLI contract: exit codes, report shapes, determinism, witness replay."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -184,6 +187,60 @@ def test_check_conditional(capsys):
     assert report["grid_relative"] is True
 
 
+def test_check_conditional_all_ties_on_a_corpus_net(capsys):
+    code, report = run_cli(
+        capsys, "check-conditional", "corpus:channel-grab", "--tie", "all", "--force-brute"
+    )
+    assert code == 0
+    assert report["outcome"] == "conditionally_monotonic"
+    assert report["path"] == "brute_force"
+
+
+def _tie_document(tmp_path):
+    # a and b race for p0; at a=2 they tie, and the b resolution (done at 3)
+    # beats the a=1 member (done at 11) with the same delivered value
+    def transition(tid, pre, post, latency):
+        return {
+            "id": tid,
+            "pre": [pre],
+            "post": [post],
+            "latency": {"kind": "const", "value": latency},
+            "value_fn": {"kind": "const", "value": {"kind": "atom", "value": "out"}},
+        }
+
+    doc = {
+        "format_version": 1,
+        "kind": "occurrence",
+        "omega_count": 1,
+        "flags": {"upward_closed": True},
+        "grids": {"a": ["1", "2"]},
+        "places": [{"id": p} for p in ("p0", "qa", "qb", "ra", "rb")],
+        "transitions": [
+            transition("a", "p0", "qa", "1"),
+            transition("b", "p0", "qb", "2"),
+            transition("ta", "qa", "ra", "10"),
+            transition("tb", "qb", "rb", "1"),
+        ],
+    }
+    path = tmp_path / "tie.net"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_check_conditional_all_ties_reports_the_resolutions(capsys, tmp_path):
+    path = _tie_document(tmp_path)
+    code, report = run_cli(capsys, "check-conditional", path, "--force-brute")
+    assert code == 0
+    assert "resolution_hi" not in json.dumps(report)
+    code, report = run_cli(capsys, "check-conditional", path, "--tie", "all", "--force-brute")
+    assert code == 1
+    w = report["witness"]
+    assert (w["latency_hi"], w["latency_lo"]) == ("3", "11")
+    assert w["hi"]["classes"]["a"] == "2" and w["lo"]["classes"]["a"] == "1"
+    assert w["resolution_hi"] == ["b", "tb"]
+    assert w["resolution_lo"] == ["a", "ta"]
+
+
 # ---------------------------------------------------------------------------
 # counterexample
 
@@ -240,3 +297,22 @@ def test_reports_are_byte_identical_across_runs(capsys, argv):
     second = capsys.readouterr().out
     assert first == second
     json.loads(first)  # and valid JSON
+
+
+def test_closed_stdout_exits_2_without_a_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # nobody will read the report
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "orchnet.cli", "simulate", "corpus:branch-race", "--omega", "0"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr == b""

@@ -24,10 +24,13 @@ from orchnet import (
     date_of,
     load_corpus,
     net_from_arcs,
+    num,
     structural_check,
     synthesize_counterexample,
     verify_counterexample,
 )
+
+from orchnet.attributes import value_sort_key
 
 from .randnets import random_workflow
 
@@ -372,3 +375,67 @@ def test_conditional_eval_cap_yields_undecided():
     )
     assert report.outcome == "undecided"
     assert report.path == "brute_force"
+
+
+def _atom_and_num_pre() -> PreOrchNet:
+    # a1 and a2 race for p, c runs alone; every configuration delivers
+    # {atom "1", num 1}, two values with the same string form.  At a1=1,
+    # a1 wins and its slow tail t1 ends at 11; at a1=3, a2 wins at 2.
+    net = net_from_arcs(
+        {
+            "a1": (("p",), ("ra",)),
+            "t1": (("ra",), ("sa",)),
+            "a2": (("p",), ("rb",)),
+            "c": (("q",), ("rc",)),
+        }
+    )
+    return PreOrchNet(
+        net=net,
+        value_fn={
+            "a1": const_value_fn(atom("1")),
+            "t1": const_value_fn(atom("1")),
+            "a2": const_value_fn(atom("1")),
+            "c": const_value_fn(num(1)),
+        },
+        classes={t: frozenset({t}) for t in net.transitions},
+        class_spec={
+            "a1": const_latency(1),
+            "t1": const_latency(10),
+            "a2": const_latency(2),
+            "c": const_latency(0),
+        },
+        class_grid={"a1": (date_of(1), date_of(3))},
+        initial_date={"p": const_latency(0), "q": const_latency(0)},
+        place_grid={},
+        upward_closed=True,
+    )
+
+
+def test_witness_values_are_ordered_by_value_sort_key():
+    pre = _atom_and_num_pre()
+    expected = (atom("1"), num(1))
+    assert [str(v) for v in expected] == ["1", "1"]  # str cannot order them
+    assert list(expected) == sorted(expected, key=value_sort_key)
+    distinct = check_distinct_values(pre.baseline())
+    assert not distinct.holds
+    assert distinct.witness.values == expected
+    report = conditional_monotony_check(pre)
+    assert report.outcome == "non_monotonic"
+    assert report.witness.values == expected
+    assert (report.witness.latency_hi, report.witness.latency_lo) == (date_of(2), date_of(11))
+
+
+def test_conditional_all_ties_needs_equal_values_in_some_resolution_pair():
+    # at a=2 the race ties; the b resolution finishes at 3 and beats the
+    # a=1 member (11), but only when both deliver the same values
+    pre = _tie_sensitive_pre()
+    blind = replace(pre, value_fn={t: const_value_fn(atom("out")) for t in pre.net.transitions})
+    assert conditional_monotony_check(blind, force_brute=True).outcome == "conditionally_monotonic"
+    report = conditional_monotony_check(blind, tie_break="all", force_brute=True)
+    assert report.outcome == "non_monotonic"
+    w = report.witness
+    assert (w.latency_hi, w.latency_lo) == (date_of(3), date_of(11))
+    assert w.resolution_hi[0] == "b" and w.resolution_lo[0] == "a"
+    # distinct deliveries per branch: the faster b run never matches a's values
+    tagged = conditional_monotony_check(pre, tie_break="all", force_brute=True)
+    assert tagged.outcome == "conditionally_monotonic"

@@ -101,6 +101,27 @@ def test_require_occurrence_net_raises_with_details():
         require_occurrence_net(net)
 
 
+def test_require_occurrence_net_computes_relations_once(monkeypatch):
+    import orchnet.nets as nets
+
+    calls = []
+    real = nets.compute_relations
+
+    def counting(net):
+        calls.append(net)
+        return real(net)
+
+    monkeypatch.setattr(nets, "compute_relations", counting)
+    nets._validated_relations.cache_clear()
+    net = _overlap_cluster()
+    rel = require_occurrence_net(net)
+    assert len(calls) == 1
+    assert rel.below == real(net).below
+    require_occurrence_net(net)  # memoised per net
+    assert len(calls) == 1
+    nets._validated_relations.cache_clear()
+
+
 # ---------------------------------------------------------------------------
 # Relations
 

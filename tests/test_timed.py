@@ -1,6 +1,7 @@
 """Race-policy execution: dates, stalls, ties, futures, family order."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -416,3 +417,27 @@ def test_instantiate_maps_grid_values_to_const_specs():
         place_values=member.place_values,
     )
     assert pre.instantiate(forced).latency["d"] == INFINITE_LATENCY
+
+
+@pytest.mark.parametrize("bad", [(), (date_of(1), date_of(2), date_of(1))])
+def test_empty_and_duplicate_grids_are_rejected(bad):
+    pre = build(load_corpus("branch-race")).pre
+    with pytest.raises(NetStructureError, match="grid for class 'b'"):
+        replace(pre, class_grid={**pre.class_grid, "b": bad})
+    place = sorted(pre.net.minimal_places)[0]
+    with pytest.raises(NetStructureError, match=f"grid for place {place!r}"):
+        replace(pre, place_grid={place: bad})
+
+
+def test_member_index_decodes_the_canonical_order():
+    pre = build(load_corpus("choice-join")).pre
+    grid = pre.grid_index
+    members = pre.assignments()
+    assert len(members) == grid.size == pre.member_count() == 256
+    assert [grid.member(i) for i in (0, 17, 255)] == [members[0], members[17], members[255]]
+    # raising one coordinate moves the index by that coordinate's stride
+    for k, cls in enumerate(grid.class_ids):
+        stride = grid.strides[k]
+        lo, hi = dict(members[0].class_values), dict(members[stride].class_values)
+        assert hi[cls] != lo[cls]
+        assert {c: v for c, v in hi.items() if c != cls} == {c: v for c, v in lo.items() if c != cls}
