@@ -10,8 +10,11 @@ Entry points:
 
 * :func:`orchnet.document.load` / :func:`orchnet.document.build` turn a
   ``.net`` file into runnable objects.
-* :func:`orchnet.timed.execute` / :func:`orchnet.timed.end_to_end` run
-  the race policy.
+* :func:`orchnet.timed.resolutions` runs the race policy under a tie
+  policy: ``"lex"`` gives the one deterministic run, ``"all"`` one
+  outcome per distinct tie resolution.  Every decider and the CLI go
+  through it; :func:`orchnet.timed.execute` /
+  :func:`orchnet.timed.end_to_end` are the lex run alone.
 * :mod:`orchnet.monotony` has the deciders: the structural cluster
   condition, the global optimality condition, the brute-force grid
   oracle, counterexample synthesis, and conditional monotony.
@@ -78,6 +81,7 @@ from .timed import (
     future,
     latency_of_prefix,
     replace_class_latency,
+    resolutions,
     run_values,
     summarize_run,
     values_of_configuration,
@@ -182,6 +186,7 @@ __all__ = [
     "parse_date",
     "per_omega_latency",
     "replace_class_latency",
+    "resolutions",
     "require_occurrence_net",
     "run_values",
     "structural_check",

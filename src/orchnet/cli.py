@@ -47,14 +47,7 @@ from .monotony import (
     synthesize_counterexample,
 )
 from .nets import WorkflowNet, is_sound, net_from_arcs, validate_occurrence_net
-from .timed import (
-    FamilyAssignment,
-    OrchNet,
-    TimedRun,
-    execute,
-    execute_all,
-    summarize_run,
-)
+from .timed import EndToEnd, FamilyAssignment, resolutions
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -81,8 +74,8 @@ def _value_list(values) -> list:
     return [value_to_json(v) for v in sorted(values, key=value_sort_key)]
 
 
-def _run_report(orch: OrchNet, run: TimedRun) -> dict:
-    summary = summarize_run(orch, run)
+def _run_report(summary: EndToEnd) -> dict:
+    run = summary.run
     return {
         "fired": list(run.step_order),
         "occurring": sorted(run.occurring),
@@ -171,14 +164,8 @@ def _cmd_validate(args) -> int:
 
 def _cmd_unfold(args) -> int:
     doc = _load_document(args.file)
-    built = build(doc)
-    if built.unfolding is not None:
-        unf = built.unfolding.unfolding
-        phi = built.unfolding.morphism.node_map
-    else:
-        # an occurrence net is its own unfolding
-        unf = built.carrier_net
-        phi = {n: n for n in unf.nodes}
+    unfolding = build(doc).unfolding
+    unf, phi = unfolding.unfolding, unfolding.morphism.node_map
     copies: dict[str, int] = {}
     for e in unf.transitions:
         copies[phi[e]] = copies.get(phi[e], 0) + 1
@@ -204,17 +191,13 @@ def _cmd_simulate(args) -> int:
         raise DocumentError(
             [f"omega {args.omega} out of range; document declares {orch.omega_count} scenarios"]
         )
-    if args.tie == "lex":
-        runs = (execute(orch, args.omega),)
-    else:
-        runs = execute_all(orch, args.omega)
     report = {
         "command": "simulate",
         "file": args.file,
         "kind": doc.kind,
         "omega": args.omega,
         "tie": args.tie,
-        "runs": [_run_report(orch, r) for r in runs],
+        "runs": [_run_report(r) for r in resolutions(orch, args.omega, args.tie)],
     }
     _emit(report)
     return EXIT_OK

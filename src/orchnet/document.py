@@ -55,7 +55,7 @@ from .specs import (
     value_fn_to_json,
 )
 from .timed import OrchNet, PreOrchNet
-from .unfolding import CarrierSpecs, UnfoldingResult, induced_preorchnet, unfold
+from .unfolding import CarrierSpecs, Morphism, UnfoldingResult, induced_preorchnet, unfold
 
 FORMAT_VERSION = 1
 
@@ -412,7 +412,7 @@ class BuiltDocument:
     carrier: Net | WorkflowNet
     specs: CarrierSpecs
     pre: PreOrchNet
-    unfolding: UnfoldingResult | None  # None when the carrier runs directly
+    unfolding: UnfoldingResult  # the identity on an occurrence carrier
 
     @property
     def carrier_net(self) -> Net:
@@ -473,6 +473,7 @@ def carrier_specs(doc: NetDocument, carrier: Net | WorkflowNet) -> CarrierSpecs:
         place_grid=dict(doc.place_grids),
         omega_count=doc.omega_count,
         upward_closed=doc.upward_closed,
+        initial_value={p.id: p.initial_value for p in doc.places if p.initial_value is not None},
     )
 
 
@@ -486,32 +487,11 @@ def build(doc: NetDocument) -> BuiltDocument:
             result = unfold(carrier)
         except NetStructureError as exc:
             raise DocumentError([f"workflow: {exc}"]) from exc
-        pre = induced_preorchnet(result, net, specs)
-        return BuiltDocument(document=doc, carrier=carrier, specs=specs, pre=pre, unfolding=result)
-
-    classes: dict[str, set[str]] = {}
-    class_spec: dict[str, LatencySpec] = {}
-    for t in doc.transitions:
-        cls = doc.effective_class(t)
-        classes.setdefault(cls, set()).add(t.id)
-        class_spec[cls] = t.latency
-    initial_value = {
-        p.id: p.initial_value for p in doc.places if p.initial_value is not None
-    }
-    pre = PreOrchNet(
-        net=net,
-        value_fn=dict(specs.value_fn),
-        classes={cls: frozenset(ts) for cls, ts in classes.items()},
-        class_spec=class_spec,
-        class_grid=dict(doc.class_grids),
-        initial_date=dict(specs.initial_date),
-        place_grid=dict(doc.place_grids),
-        omega_count=doc.omega_count,
-        guard=dict(specs.guard),
-        initial_value=initial_value,
-        upward_closed=doc.upward_closed,
-    )
-    return BuiltDocument(document=doc, carrier=carrier, specs=specs, pre=pre, unfolding=None)
+    else:
+        # an occurrence net is its own unfolding
+        result = UnfoldingResult(unfolding=net, morphism=Morphism({n: n for n in net.nodes}))
+    pre = induced_preorchnet(result, net, specs)
+    return BuiltDocument(document=doc, carrier=carrier, specs=specs, pre=pre, unfolding=result)
 
 
 def document_from_orchnet(orch: OrchNet, kind: str = "occurrence") -> NetDocument:

@@ -29,7 +29,6 @@ from itertools import product
 from .attributes import DATE_INF, ExtendedDate, Value, date_max, value_sort_key
 from .errors import CapExceededError, NetStructureError, SynthesisError
 from .nets import (
-    Cluster,
     Net,
     WorkflowNet,
     clusters,
@@ -44,10 +43,10 @@ from .timed import (
     OrchNet,
     PreOrchNet,
     compare_families,
-    end_to_end,
-    execute_all,
+    end_to_end,  # noqa: F401  tests/test_sweep_reference.py patches these two names here
+    execute_all,  # noqa: F401
     latency_of_prefix,
-    summarize_run,
+    resolutions,
     values_of_configuration,
 )
 from .unfolding import CarrierSpecs, UnfoldingResult, induced_preorchnet, unfold
@@ -133,10 +132,11 @@ def check_global_condition(
 
     A violation exhibits an alternative maximal configuration strictly
     faster than what the race policy produces; with upward-closed families
-    that is exactly the seed of a monotony counterexample.
+    that is exactly the seed of a monotony counterexample.  Under
+    tie_break="all" the occurring latency is that of the slowest tie
+    resolution.
     """
-    summary = end_to_end(orch, omega, tie_break)
-    occurring_latency = summary.latency
+    occurring_latency = max(r.latency for r in resolutions(orch, omega, tie_break))
     try:
         configs = maximal_configurations(orch.net, orch.relations, cap=config_cap)
     except CapExceededError as exc:
@@ -206,7 +206,7 @@ def brute_force_monotony(
     sweep = _sweep(
         pre,
         mode,
-        _resolutions(tie_break),
+        tie_break,
         lambda hi, lo: hi.latency < lo.latency,
         eval_cap,
         f"oracle exceeded evaluation cap {eval_cap}",
@@ -233,16 +233,6 @@ def brute_force_monotony(
     )
 
 
-def _resolutions(tie_break: str):
-    """The end-to-end outcomes of one member at one omega under a tie
-    policy: the single lex run, or one per distinct tie resolution."""
-    if tie_break == "lex":
-        return lambda orch, omega: (end_to_end(orch, omega, "lex"),)
-    if tie_break == "all":
-        return lambda orch, omega: tuple(summarize_run(orch, r) for r in execute_all(orch, omega))
-    raise NetStructureError(f"unknown tie_break {tie_break!r}")
-
-
 @dataclass(frozen=True)
 class _SweepResult:
     # (hi member, lo member, omega, hi outcome, lo outcome) of the first violation
@@ -256,12 +246,12 @@ class _SweepResult:
         return "non_monotonic" if self.hit is not None else holds
 
 
-def _sweep(pre: PreOrchNet, mode: str, evaluate, violates, eval_cap: int, cap_message: str) -> _SweepResult:
+def _sweep(pre: PreOrchNet, mode: str, tie_break: str, violates, eval_cap: int, cap_message: str) -> _SweepResult:
     """Walk dominating member pairs (hi, lo) in canonical order and stop at
     the first violation.
 
-    ``evaluate(orch, omega)`` gives the outcomes of one member, memoised
-    per (member index, omega) and charged to one budget of ``eval_cap``
+    The ``resolutions`` of one member under ``tie_break`` are memoised per
+    (member index, omega) and charged to one budget of ``eval_cap``
     evaluations.  A pair violates at an omega when ``violates(h, l)``
     holds for some hi outcome h and lo outcome l.
     """
@@ -277,7 +267,7 @@ def _sweep(pre: PreOrchNet, mode: str, evaluate, violates, eval_cap: int, cap_me
             if budget <= 0:
                 raise CapExceededError(cap_message)
             budget -= 1
-            memo[key] = evaluate(pre.instantiate(grid.member(idx)), omega)
+            memo[key] = resolutions(pre.instantiate(grid.member(idx)), omega, tie_break)
         return memo[key]
 
     try:
@@ -352,14 +342,8 @@ def verify_counterexample(
     order = compare_families(hi, lo)
     if not order.geq:
         return Verification(accepted=False, reason=f"hi does not dominate lo: {order.reason}")
-    if tie_break == "lex":
-        e_lo = end_to_end(lo, omega, "lex").latency
-        e_hi = end_to_end(hi, omega, "lex").latency
-    elif tie_break == "all":
-        e_lo = max(summarize_run(lo, r).latency for r in execute_all(lo, omega))
-        e_hi = min(summarize_run(hi, r).latency for r in execute_all(hi, omega))
-    else:
-        raise NetStructureError(f"unknown tie_break {tie_break!r}")
+    e_lo = max(r.latency for r in resolutions(lo, omega, tie_break))
+    e_hi = min(r.latency for r in resolutions(hi, omega, tie_break))
     if e_hi < e_lo:
         return Verification(
             accepted=True,
@@ -657,8 +641,10 @@ def _attempt(
             continue
 
         lo = _materialize(pre, lat, omega_star)
-        lo_summary = end_to_end(lo, omega_star, tie_break)
-        if lo_summary.latency.is_finite or t1 not in lo_summary.run.fired:
+        if not any(
+            not r.latency.is_finite and t1 in r.run.fired
+            for r in resolutions(lo, omega_star, tie_break)
+        ):
             failures.append(
                 f"({t1},{t2},{residual}): forced run did not stall behind the winner"
             )
@@ -728,15 +714,7 @@ def _materialize(pre: PreOrchNet, lat: dict[str, ExtendedDate], omega_star: int)
                 else:
                     raise SynthesisError(f"class {cls!r} has a non-tabular latency spec")
             latency[e] = LatencySpec(kind="per_omega", table=tuple(table))
-    return OrchNet(
-        net=pre.net,
-        latency=latency,
-        value_fn=dict(pre.value_fn),
-        initial_date=dict(pre.initial_date),
-        omega_count=pre.omega_count,
-        guard=dict(pre.guard),
-        initial_value=dict(pre.initial_value),
-    )
+    return pre.assemble(latency, pre.initial_date)
 
 
 # ---------------------------------------------------------------------------
@@ -839,7 +817,7 @@ def conditional_monotony_check(
     sweep = _sweep(
         pre,
         "all_pairs",
-        _resolutions(tie_break),
+        tie_break,
         lambda hi, lo: hi.values == lo.values and hi.latency < lo.latency,
         eval_cap,
         f"conditional check exceeded evaluation cap {eval_cap}",

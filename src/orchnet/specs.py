@@ -117,15 +117,17 @@ class LatencyExpr:
         raise EvaluationError(f"unknown latency op {self.op!r}")
 
 
+INFINITE_LATENCY = LatencySpec(kind="infinite")
+
+
 def const_latency(value) -> LatencySpec:
-    return LatencySpec(kind="const", const=date_of(value))
+    """A constant latency; an infinite date gives ``INFINITE_LATENCY``."""
+    d = date_of(value)
+    return LatencySpec(kind="const", const=d) if d.is_finite else INFINITE_LATENCY
 
 
 def per_omega_latency(values) -> LatencySpec:
     return LatencySpec(kind="per_omega", table=tuple(date_of(v) for v in values))
-
-
-INFINITE_LATENCY = LatencySpec(kind="infinite")
 
 
 # ---------------------------------------------------------------------------
@@ -276,11 +278,7 @@ def latency_from_json(node: object, omega_count: int, path: str, problems: list[
 
 def _parse_const_latency(raw: object, path: str, problems: list[str]) -> LatencySpec | None:
     d = _parse_date_str(raw, f"{path}.value", problems)
-    if d is None:
-        return None
-    if not d.is_finite:
-        return INFINITE_LATENCY
-    return LatencySpec(kind="const", const=d)
+    return None if d is None else const_latency(d)
 
 
 def _parse_date_str(raw: object, path: str, problems: list[str]) -> ExtendedDate | None:

@@ -34,7 +34,7 @@ from .nets import (
     maximal_transitions,
     require_occurrence_net,
 )
-from .specs import GuardSpec, LatencySpec, ValueFnSpec
+from .specs import GuardSpec, LatencySpec, ValueFnSpec, const_latency
 
 
 @dataclass(frozen=True)
@@ -63,9 +63,10 @@ class OrchNet:
             raise NetStructureError(f"minimal places without initial dates: {missing}")
         if self.omega_count < 1:
             raise NetStructureError("omega_count must be at least 1")
-        for p in self.net.minimal_places:
-            if p not in self.initial_value:
-                self.initial_value[p] = atom(p)
+        if not self.net.minimal_places <= self.initial_value.keys():
+            # fill the atom(p) defaults into a fresh dict, not the caller's
+            defaults = {p: atom(p) for p in self.net.minimal_places}
+            object.__setattr__(self, "initial_value", defaults | self.initial_value)
 
     @property
     def relations(self) -> NodeRelations:
@@ -258,28 +259,18 @@ def _has_open_future(orch: OrchNet, fired: frozenset[str]) -> bool:
 
 
 def execute(orch: OrchNet, omega: int, tie_break: str = "lex") -> TimedRun:
-    """Run the race policy with a deterministic tie policy ("lex")."""
+    """Run the race policy with the deterministic tie policy ("lex": of
+    tied transitions, the smallest id fires first)."""
     orch.check_omega(omega)
     if tie_break != "lex":
-        raise EvaluationError(f"unknown tie_break {tie_break!r} (use execute_all for enumeration)")
-    runs = _run_race(orch, omega, lambda tied: [min(tied)])
-    assert len(runs) == 1
-    return runs[0]
+        raise EvaluationError(f"unknown tie_break {tie_break!r} (use resolutions for enumeration)")
+    (run,) = _run_race(orch, omega, lambda tied: [min(tied)])
+    return run
 
 
 def execute_all(orch: OrchNet, omega: int, cap: int = 10_000) -> tuple[TimedRun, ...]:
-    """Enumerate every distinct tie resolution (deduped by occurring
-    configuration; permuting tied concurrent transitions changes nothing)."""
-    orch.check_omega(omega)
-    counter = {"branches": 0}
-
-    def choose(tied: list[str]) -> list[str]:
-        counter["branches"] += len(tied)
-        if counter["branches"] > cap:
-            raise CapExceededError(f"tie enumeration exceeded cap {cap}")
-        return sorted(tied)
-
-    return tuple(_run_race(orch, omega, choose))
+    """The runs of every distinct tie resolution; see ``resolutions``."""
+    return tuple(outcome.run for outcome in resolutions(orch, omega, "all", cap))
 
 
 @dataclass(frozen=True)
@@ -298,6 +289,34 @@ def end_to_end(orch: OrchNet, omega: int, tie_break: str = "lex") -> EndToEnd:
     """
     run = execute(orch, omega, tie_break)
     return summarize_run(orch, run)
+
+
+def resolutions(
+    orch: OrchNet, omega: int, tie: str = "lex", cap: int = 10_000
+) -> tuple[EndToEnd, ...]:
+    """The end-to-end outcomes of one member at one omega under a tie policy.
+
+    "lex" gives the single deterministic run.  "all" gives one outcome per
+    distinct tie resolution, deduplicated by occurring configuration
+    (permuting tied concurrent transitions changes nothing) and ordered by
+    sorted occurring configuration; branching on more than ``cap`` tied
+    transitions in all raises CapExceededError.
+    """
+    if tie == "lex":
+        return (end_to_end(orch, omega),)
+    if tie != "all":
+        raise NetStructureError(f"unknown tie_break {tie!r}")
+    orch.check_omega(omega)
+    branches = 0
+
+    def choose(tied: list[str]) -> list[str]:
+        nonlocal branches
+        branches += len(tied)
+        if branches > cap:
+            raise CapExceededError(f"tie enumeration exceeded cap {cap}")
+        return sorted(tied)
+
+    return tuple(summarize_run(orch, run) for run in _run_race(orch, omega, choose))
 
 
 def summarize_run(orch: OrchNet, run: TimedRun) -> EndToEnd:
@@ -373,7 +392,7 @@ def future(orch: OrchNet, kappa: frozenset[str], omega: int) -> OrchNet:
     initial_value: dict[str, Value] = {}
     for p in sub.minimal_places:
         if p in max_places:
-            initial_date[p] = LatencySpec(kind="const", const=ev.dates[p]) if ev.dates[p].is_finite else LatencySpec(kind="infinite")
+            initial_date[p] = const_latency(ev.dates[p])
             initial_value[p] = ev.values[p]
         else:
             initial_date[p] = orch.initial_date[p]
@@ -598,24 +617,29 @@ class PreOrchNet:
         latency: dict[str, LatencySpec] = {}
         chosen = dict(assignment.class_values)
         for cls, members in self.classes.items():
-            spec = self.class_spec[cls]
             v = chosen.get(cls)
-            if v is not None:
-                spec = LatencySpec(kind="const", const=v) if v.is_finite else LatencySpec(kind="infinite")
+            spec = self.class_spec[cls] if v is None else const_latency(v)
             for t in members:
                 latency[t] = spec
         initial_date = dict(self.initial_date)
         for p, v in assignment.place_values:
             if v is not None:
-                initial_date[p] = LatencySpec(kind="const", const=v) if v.is_finite else LatencySpec(kind="infinite")
+                initial_date[p] = const_latency(v)
+        return self.assemble(latency, initial_date)
+
+    def assemble(
+        self, latency: dict[str, LatencySpec], initial_date: dict[str, LatencySpec]
+    ) -> OrchNet:
+        """The member with these per-transition latencies and per-minimal-
+        place initial dates; values, guards and initial values are shared."""
         return OrchNet(
             net=self.net,
             latency=latency,
-            value_fn=dict(self.value_fn),
+            value_fn=self.value_fn,
             initial_date=initial_date,
             omega_count=self.omega_count,
-            guard=dict(self.guard),
-            initial_value=dict(self.initial_value),
+            guard=self.guard,
+            initial_value=self.initial_value,
         )
 
     def baseline(self) -> OrchNet:

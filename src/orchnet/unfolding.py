@@ -234,6 +234,7 @@ class CarrierSpecs:
     place_grid: dict[str, tuple] = field(default_factory=dict)
     omega_count: int = 1
     upward_closed: bool = False
+    initial_value: dict[str, Value] = field(default_factory=dict)  # default: atom(place)
 
 
 def induced_preorchnet(result: UnfoldingResult, carrier: Net, specs: CarrierSpecs) -> PreOrchNet:
@@ -272,7 +273,7 @@ def induced_preorchnet(result: UnfoldingResult, carrier: Net, specs: CarrierSpec
     for c in unf.minimal_places:
         p = phi[c]
         initial_date[c] = specs.initial_date[p]
-        initial_value[c] = atom(p)
+        initial_value[c] = specs.initial_value.get(p, atom(p))
         if p in specs.place_grid:
             place_grid[c] = tuple(specs.place_grid[p])
 

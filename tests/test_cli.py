@@ -9,6 +9,7 @@ import pytest
 
 from orchnet import build, loads, verify_counterexample
 from orchnet.cli import main
+from orchnet.document import corpus_text
 
 
 def run_cli(capsys, *argv):
@@ -241,6 +242,36 @@ def test_check_conditional_all_ties_reports_the_resolutions(capsys, tmp_path):
     assert w["resolution_lo"] == ["a", "ta"]
 
 
+@pytest.mark.parametrize("command", ["check-global", "counterexample"])
+@pytest.mark.parametrize("name", ["branch-race", "channel-grab"])
+def test_all_ties_report_on_check_global_and_counterexample(capsys, command, name):
+    for omega in ("0", "1"):
+        argv = (command, f"corpus:{name}", "--omega", omega)
+        code_all, report_all = run_cli(capsys, *argv, "--tie", "all")
+        assert code_all in (0, 1, 3)
+        assert "error" not in report_all
+        # no ties on these nets: enumerating resolutions changes nothing
+        code_lex, report_lex = run_cli(capsys, *argv, "--tie", "lex")
+        assert (code_all, report_all) == (code_lex, report_lex)
+
+
+def test_check_global_all_ties_uses_the_slowest_resolution(capsys, tmp_path):
+    _tie_document(tmp_path)
+    doc = json.loads((tmp_path / "tie.net").read_text())
+    latency = {"a": "2", "b": "2", "ta": "1", "tb": "10"}  # a and b tie at 2
+    for t in doc["transitions"]:
+        t["latency"]["value"] = latency[t["id"]]
+    path = tmp_path / "tied.net"
+    path.write_text(json.dumps(doc))
+    code, report = run_cli(capsys, "check-global", str(path), "--omega", "0")
+    assert code == 0  # lex fires a: done at 3, the fastest maximal configuration
+    assert report["occurring_latency"] == "3"
+    code, report = run_cli(capsys, "check-global", str(path), "--omega", "0", "--tie", "all")
+    assert code == 1  # the b resolution is done at 12
+    assert report["occurring_latency"] == "12"
+    assert report["witnesses"] == [{"configuration": ["a", "p0", "qa", "ra", "ta"], "latency": "3"}]
+
+
 # ---------------------------------------------------------------------------
 # counterexample
 
@@ -264,6 +295,21 @@ def test_counterexample_synthesizes_and_replays(capsys):
     verdict = verify_counterexample(lo, hi, report["omega"])
     assert verdict.accepted
     assert str(verdict.latency_hi) == report["verification"]["latency_hi"]
+
+
+def test_counterexample_witnesses_keep_a_declared_initial_value(capsys, tmp_path):
+    doc = json.loads(corpus_text("channel-grab"))
+    seven = {"kind": "num", "value": "7"}
+    for place in doc["places"]:
+        if place["id"] == "ch":
+            place["initial_value"] = seven
+    path = tmp_path / "valued.net"
+    path.write_text(json.dumps(doc))
+    code, report = run_cli(capsys, "counterexample", str(path), "--omega", "0")
+    assert code == 1
+    for side in ("lo", "hi"):
+        (ch,) = [p for p in report[side]["places"] if p["id"].startswith("ch~")]
+        assert ch["initial_value"] == seven
 
 
 def test_counterexample_hard_class_is_undecided(capsys):

@@ -13,6 +13,7 @@ from orchnet import (
     load,
     load_corpus,
     loads,
+    num,
 )
 from orchnet.document import corpus_names, corpus_text
 
@@ -222,3 +223,30 @@ def test_corpus_names_lists_the_bundled_nets():
 def test_unknown_corpus_name_reports_the_available_ones():
     with pytest.raises(DocumentError, match="branch-race"):
         corpus_text("nope")
+
+
+@pytest.mark.parametrize("kind", ["workflow", "occurrence"])
+def test_declared_initial_value_is_delivered_in_both_document_kinds(kind):
+    doc = {
+        "format_version": 1,
+        "kind": kind,
+        "omega_count": 1,
+        "places": [{"id": "i", "initial_value": {"kind": "num", "value": "7"}}, {"id": "o"}],
+        "transitions": [
+            {
+                "id": "t",
+                "pre": ["i"],
+                "post": ["o"],
+                "latency": {"kind": "const", "value": "1"},
+                "value_fn": {"kind": "select", "index": 0},
+            }
+        ],
+    }
+    built = build(loads(json.dumps(doc)))
+    assert end_to_end(built.pre.baseline(), 0).values == frozenset({num("7")})
+
+
+def test_an_occurrence_document_is_its_own_unfolding():
+    built = build(load_corpus("channel-grab"))
+    assert built.unfolding.unfolding == built.carrier_net
+    assert all(built.unfolding.morphism[n] == n for n in built.carrier_net.nodes)

@@ -5,6 +5,7 @@ import pytest
 from orchnet.attributes import DATE_INF, atom, date_of, num, tup
 from orchnet.errors import EvaluationError
 from orchnet.specs import (
+    INFINITE_LATENCY,
     GuardOperand,
     GuardSpec,
     LatencyExpr,
@@ -31,6 +32,15 @@ def test_const_and_per_omega_latencies():
     assert p.evaluate(1, ()) == date_of(4)
     with pytest.raises(EvaluationError):
         p.evaluate(2, ())
+
+
+def test_const_latency_of_an_infinite_date_is_the_infinite_spec():
+    assert const_latency(DATE_INF) == INFINITE_LATENCY
+    assert const_latency("inf") == INFINITE_LATENCY
+    assert const_latency(0).kind == "const"
+    problems = []
+    assert latency_from_json({"kind": "const", "value": "inf"}, 1, "l", problems) == INFINITE_LATENCY
+    assert not problems
 
 
 def test_expression_latency_reads_numeric_inputs():

@@ -32,6 +32,7 @@ from orchnet import (
     net_from_arcs,
     per_omega_latency,
     replace_class_latency,
+    resolutions,
     unfold,
 )
 from orchnet.specs import LatencyExpr
@@ -441,3 +442,57 @@ def test_member_index_decodes_the_canonical_order():
         lo, hi = dict(members[0].class_values), dict(members[stride].class_values)
         assert hi[cls] != lo[cls]
         assert {c: v for c, v in hi.items() if c != cls} == {c: v for c, v in lo.items() if c != cls}
+
+
+# ---------------------------------------------------------------------------
+# One tie-resolution API
+
+
+def _tied_race() -> OrchNet:
+    # a and b both finish at 2: lex fires a (done at 3), b is done at 12
+    net = net_from_arcs(
+        {"a": ({"p"}, {"qa"}), "b": ({"p"}, {"qb"}), "ta": ({"qa"}, {"ra"}), "tb": ({"qb"}, {"rb"})}
+    )
+    latency = {"a": 2, "b": 2, "ta": 1, "tb": 10}
+    return OrchNet(
+        net=net,
+        latency={t: const_latency(v) for t, v in latency.items()},
+        value_fn={t: const_value_fn(atom(t)) for t in net.transitions},
+        initial_date={"p": const_latency(0)},
+    )
+
+
+def test_resolutions_lex_is_the_end_to_end_run():
+    orch = _tied_race()
+    (only,) = resolutions(orch, 0)
+    assert only == end_to_end(orch, 0)
+    assert only.run.step_order == ("a", "ta")
+    assert only.latency == date_of(3)
+
+
+def test_resolutions_all_enumerates_every_tie_resolution():
+    orch = _tied_race()
+    outcomes = resolutions(orch, 0, "all")
+    assert [o.run.step_order for o in outcomes] == [("a", "ta"), ("b", "tb")]
+    assert [o.latency for o in outcomes] == [date_of(3), date_of(12)]
+    assert tuple(o.run for o in outcomes) == execute_all(orch, 0)
+    with pytest.raises(CapExceededError):
+        resolutions(orch, 0, "all", cap=1)
+
+
+def test_resolutions_rejects_an_unknown_tie_policy():
+    with pytest.raises(NetStructureError, match="unknown tie_break"):
+        resolutions(_tied_race(), 0, "random")
+
+
+def test_orchnet_leaves_the_initial_value_dict_it_was_given_unchanged():
+    given: dict = {}
+    orch = OrchNet(
+        net=net_from_arcs({"t": ({"p"}, {"q"})}),
+        latency={"t": const_latency(1)},
+        value_fn={"t": const_value_fn(atom("t"))},
+        initial_date={"p": const_latency(0)},
+        initial_value=given,
+    )
+    assert given == {}
+    assert orch.initial_value == {"p": atom("p")}
