@@ -341,10 +341,11 @@ def _cross_checks(doc: NetDocument) -> list[str]:
 
 def loads(text: str) -> NetDocument:
     try:
-        obj = json.loads(text)
+        return document_from_json(json.loads(text))
     except json.JSONDecodeError as exc:
         raise DocumentError([f"invalid JSON: {exc}"]) from exc
-    return document_from_json(obj)
+    except RecursionError as exc:
+        raise DocumentError(["document is nested too deeply"]) from exc
 
 
 def load(path: str) -> NetDocument:

@@ -43,8 +43,6 @@ from .timed import (
     OrchNet,
     PreOrchNet,
     compare_families,
-    end_to_end,  # noqa: F401  tests/test_sweep_reference.py patches these two names here
-    execute_all,  # noqa: F401
     latency_of_prefix,
     resolutions,
     values_of_configuration,

@@ -422,10 +422,11 @@ def configuration_of(net: Net, fired: frozenset[str]) -> frozenset[str]:
     return frozenset(nodes)
 
 
-def maximal_transitions(net: Net, rel: NodeRelations, nodes: frozenset[str]) -> frozenset[str]:
-    """Transitions of the set with no later transition inside the set."""
+def maximal_transitions(net: Net, nodes: frozenset[str]) -> frozenset[str]:
+    """Transitions of a causally closed set with no later transition inside
+    it: no transition of the set consumes a place of their postset."""
     ts = nodes & net.transitions
-    return frozenset(t for t in ts if not (rel.above[t] & ts))
+    return frozenset(t for t in ts if not any(net.postset[p] & ts for p in net.postset[t]))
 
 
 def maximal_configurations(
@@ -449,50 +450,37 @@ def maximal_configurations(
         conflict_with[a].add(b)
         conflict_with[b].add(a)
 
-    def enabled(fired: frozenset[str], banned: frozenset[str]) -> list[str]:
-        out = []
-        for t in sorted(net.transitions - fired - banned):
-            if any(u in fired for u in conflict_with[t]):
-                continue
-            producers = {next(iter(net.preset[p])) for p in net.preset[t] if net.preset[p]}
-            if producers <= fired:
-                out.append(t)
-        return out
-
+    producers = {
+        t: {next(iter(net.preset[p])) for p in net.preset[t] if net.preset[p]}
+        for t in net.transitions
+    }
     results: set[frozenset[str]] = set()
     visited = 0
-
-    def addable(fired: frozenset[str]) -> bool:
-        for t in sorted(net.transitions - fired):
-            if any(u in fired for u in conflict_with[t]):
-                continue
-            producers = {next(iter(net.preset[p])) for p in net.preset[t] if net.preset[p]}
-            if producers <= fired:
-                return True
-        return False
-
-    def search(fired: frozenset[str], banned: frozenset[str]) -> None:
-        nonlocal visited
+    stack = [(frozenset(), frozenset())]
+    while stack:
+        fired, banned = stack.pop()
         visited += 1
         if visited > cap:
             raise CapExceededError(f"maximal-configuration search exceeded cap {cap}")
-        cands = enabled(fired, banned)
+        # transitions that could extend the fired set, banned ones included
+        addable = [
+            t for t in sorted(net.transitions - fired)
+            if producers[t] <= fired and not conflict_with[t] & fired
+        ]
+        cands = [t for t in addable if t not in banned]
         if not cands:
-            if not addable(fired):
+            if not addable:
                 results.add(fired)
-            return
+            continue
         # a transition with no live rival (everyone sharing an input place
         # is banned already) belongs to every maximal configuration that
         # enables it, so include it without branching
-        for t in cands:
-            if not (conflict_with[t] - banned):
-                search(fired | {t}, banned)
-                return
-        t = cands[0]
-        search(fired | {t}, banned)
-        search(fired, banned | {t})
-
-    search(frozenset(), frozenset())
+        free = [t for t in cands if not conflict_with[t] - banned]
+        if free:
+            stack.append((fired | {free[0]}, banned))
+            continue
+        stack.append((fired, banned | {cands[0]}))
+        stack.append((fired | {cands[0]}, banned))
     configs = sorted(
         (configuration_of(net, fired) for fired in results),
         key=lambda c: tuple(sorted(c)),

@@ -20,6 +20,7 @@ the run is flagged stalled, and the end-to-end latency is infinite.
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -177,22 +178,64 @@ def _run_race(
 ) -> list[TimedRun]:
     """Race-policy execution core.
 
-    ``choose(tied)`` maps the set of minimal-date enabled transitions to the
-    list of transitions to branch on (one element for deterministic modes).
-    Returns one TimedRun per distinct occurring configuration.
+    ``choose(tied)`` maps the sorted ids of the minimal-date enabled
+    transitions to the list of transitions to branch on (one element for
+    deterministic modes).  Branches are explored depth first in that order;
+    a run is copied only where it branches.  Returns one TimedRun per
+    distinct occurring configuration, the first found standing for it.
     """
     net = orch.net
-
-    init_dates = {p: orch.initial_date[p].value_at(omega) for p in net.minimal_places}
-    init_values = {p: orch.initial_value[p] for p in net.minimal_places}
-
+    pre, post = net.preset, net.postset
+    dates = {p: orch.initial_date[p].value_at(omega) for p in net.minimal_places}
+    values = {p: orch.initial_value[p] for p in net.minimal_places}
+    marked = set(net.minimal_places)
+    # t -> (date, value), evaluated once, when t's whole preset is marked:
+    # each place has one producer, so the inputs never change afterwards
+    enabled = {
+        t: orch.transition_date(t, omega, dates, values)
+        for t in sorted(net.transitions)
+        if pre[t] <= marked
+    }
+    stack = [(([], marked, dates, values, enabled, [], []), None)]
     runs: dict[frozenset[str], TimedRun] = {}
-
-    def finish(fired, dates, values, steps, ties):
-        occ = configuration_of(net, frozenset(fired))
-        stalled = _has_open_future(orch, frozenset(fired))
+    while stack:
+        state, t = stack.pop()
+        fired, marked, dates, values, enabled, steps, ties = state
+        while True:
+            if t is None:
+                finite = {u: d for u, (d, _) in enabled.items() if d.is_finite}
+                if not finite:
+                    break
+                best = min(finite.values())
+                tied = sorted(u for u, d in finite.items() if d == best)
+                if len(tied) > 1:
+                    ties.append(frozenset(tied))
+                t, *others = choose(tied)
+                # the other choices resume from copies, in depth-first order
+                stack.extend((tuple(map(copy, state)), u) for u in reversed(others))
+            candidates = tuple(sorted((u, d) for u, (d, _) in enabled.items()))
+            d, v = enabled.pop(t)
+            for p in pre[t]:
+                for rival in post[p]:
+                    enabled.pop(rival, None)
+            fired.append(t)
+            steps.append(Step(fired=t, date=d, candidates=candidates))
+            marked -= pre[t]
+            marked |= post[t]
+            for n in (t, *post[t]):
+                dates[n] = d
+                values[n] = v
+            for c in sorted({c for p in post[t] for c in post[p]}):
+                if pre[c] <= marked:
+                    enabled[c] = orch.transition_date(c, omega, dates, values)
+            t = None
         key = frozenset(fired)
         if key not in runs:
+            occ = configuration_of(net, key)
+            # only infinite-date transitions are left enabled here.  An enabled
+            # transition is in conflict with nothing fired, and a causally
+            # minimal unfired transition in conflict with nothing fired is
+            # enabled, so the configuration is maximal iff none is left.
             runs[key] = TimedRun(
                 omega=omega,
                 occurring=occ,
@@ -201,61 +244,9 @@ def _run_race(
                 step_order=tuple(fired),
                 steps=tuple(steps),
                 tie_events=tuple(ties),
-                stalled=stalled,
+                stalled=bool(enabled),
             )
-
-    def explore(fired: list[str], marked: set[str], dates: dict[str, ExtendedDate], values: dict[str, Value], steps, ties):
-        # enabled = unfired transitions whose whole preset is currently marked;
-        # dates/values accumulate every node touched so far
-        candidates: list[tuple[str, ExtendedDate, Value]] = []
-        fired_set = set(fired)
-        for t in sorted(net.transitions - fired_set):
-            pre = net.preset[t]
-            if not pre <= marked:
-                continue
-            d, v = orch.transition_date(t, omega, dates, values)
-            candidates.append((t, d, v))
-        finite = [(t, d, v) for (t, d, v) in candidates if d.is_finite]
-        if not finite:
-            finish(fired, dict(dates), dict(values), steps, ties)
-            return
-        best = min(d for _, d, _ in finite)
-        tied = [(t, d, v) for (t, d, v) in finite if d == best]
-        tied_names = frozenset(t for t, _, _ in tied)
-        new_ties = ties + [tied_names] if len(tied) > 1 else ties
-        step_candidates = tuple((t, d) for t, d, _ in candidates)
-        for t in choose([t for t, _, _ in tied]):
-            d, v = next((d, v) for (tt, d, v) in tied if tt == t)
-            next_dates = dict(dates)
-            next_values = dict(values)
-            next_dates[t] = d
-            next_values[t] = v
-            for p in net.postset[t]:
-                next_dates[p] = d
-                next_values[p] = v
-            explore(
-                fired + [t],
-                (marked - net.preset[t]) | net.postset[t],
-                next_dates,
-                next_values,
-                steps + [Step(fired=t, date=d, candidates=step_candidates)],
-                new_ties,
-            )
-
-    explore([], set(net.minimal_places), dict(init_dates), dict(init_values), [], [])
-    ordered = sorted(runs.values(), key=lambda r: tuple(sorted(r.occurring)))
-    return ordered
-
-
-def _has_open_future(orch: OrchNet, fired: frozenset[str]) -> bool:
-    """True when some unfired transition is not in conflict with the fired
-    prefix, i.e. the occurring configuration is not maximal."""
-    net, rel = orch.net, orch.relations
-    occ = configuration_of(net, fired)
-    for t in sorted(net.transitions - fired):
-        if all(not rel.in_conflict(t, n) for n in occ):
-            return True
-    return False
+    return sorted(runs.values(), key=lambda r: tuple(sorted(r.occurring)))
 
 
 def execute(orch: OrchNet, omega: int, tie_break: str = "lex") -> TimedRun:
@@ -328,14 +319,14 @@ def summarize_run(orch: OrchNet, run: TimedRun) -> EndToEnd:
 
 
 def run_values(orch: OrchNet, run: TimedRun) -> frozenset[Value]:
-    maxts = maximal_transitions(orch.net, orch.relations, run.occurring)
+    maxts = maximal_transitions(orch.net, run.occurring)
     return frozenset(run.values[t] for t in maxts)
 
 
 def values_of_configuration(orch: OrchNet, omega: int, config: frozenset[str]) -> frozenset[Value]:
     """Value set of an arbitrary configuration (used on maximal configurations)."""
     ev = eval_dates(orch, omega, config)
-    maxts = maximal_transitions(orch.net, orch.relations, config)
+    maxts = maximal_transitions(orch.net, config)
     return frozenset(ev.values[t] for t in maxts)
 
 

@@ -89,6 +89,14 @@ def test_bad_json_is_an_input_error(capsys, tmp_path):
     assert any("invalid JSON" in p for p in report["error"]["problems"])
 
 
+def test_deeply_nested_document_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "nested.net"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, report = run_cli(capsys, "validate", str(path))
+    assert code == 2
+    assert report["error"]["problems"] == ["document is nested too deeply"]
+
+
 def test_unknown_corpus_name_is_an_input_error(capsys):
     code, report = run_cli(capsys, "unfold", "corpus:nope")
     assert code == 2
@@ -135,6 +143,39 @@ def test_simulate_all_ties(capsys):
     code, report = run_cli(capsys, "simulate", "corpus:branch-race", "--omega", "0", "--tie", "all")
     assert code == 0
     assert len(report["runs"]) == 1  # dates 2 vs 3: no tie to enumerate
+
+
+def _chain_document(tmp_path, n):
+    doc = {
+        "format_version": 1,
+        "kind": "occurrence",
+        "omega_count": 1,
+        "places": [{"id": f"p{i:04d}"} for i in range(n + 1)],
+        "transitions": [
+            {
+                "id": f"t{i:04d}",
+                "pre": [f"p{i:04d}"],
+                "post": [f"p{i + 1:04d}"],
+                "latency": {"kind": "const", "value": "1"},
+            }
+            for i in range(n)
+        ],
+    }
+    path = tmp_path / "chain.net"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_a_1500_transition_chain_simulates_and_checks(capsys, tmp_path):
+    # runs of more than about 980 steps used to raise RecursionError
+    path = _chain_document(tmp_path, 1_500)
+    code, report = run_cli(capsys, "simulate", path, "--omega", "0")
+    assert code == 0
+    (run,) = report["runs"]
+    assert (run["end_to_end"], len(run["fired"]), run["stalled"]) == ("1500", 1_500, False)
+    code, report = run_cli(capsys, "check-global", path, "--omega", "0")
+    assert code == 0
+    assert (report["status"], report["occurring_latency"]) == ("holds", "1500")
 
 
 # ---------------------------------------------------------------------------

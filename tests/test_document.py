@@ -15,6 +15,7 @@ from orchnet import (
     loads,
     num,
 )
+from orchnet import document
 from orchnet.document import corpus_names, corpus_text
 
 CORPUS = ("branch-race", "channel-grab", "choice-join", "overlap-cluster")
@@ -123,6 +124,17 @@ def test_grid_for_unknown_class_is_rejected():
 def test_invalid_json_is_a_document_error():
     with pytest.raises(DocumentError, match="invalid JSON"):
         loads("{not json")
+
+
+def test_recursion_while_reading_the_schema_is_a_document_error(monkeypatch):
+    # json.loads overflowing is covered through the CLI; this is the schema
+    # walk, which recurses into nested tuple values
+    def too_deep(obj):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(document, "document_from_json", too_deep)
+    with pytest.raises(DocumentError, match="nested too deeply"):
+        loads(json.dumps(_minimal()))
 
 
 def test_missing_file_is_a_document_error(tmp_path):

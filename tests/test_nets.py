@@ -275,12 +275,9 @@ def test_maximal_configurations_cap_raises():
 
 def test_maximal_transitions():
     net = _overlap_cluster()
-    rel = compute_relations(net)
     config = configuration_of(net, frozenset({"a", "c", "d", "f"}))
-    assert maximal_transitions(net, rel, config) == frozenset({"d", "f"})
-    assert maximal_transitions(net, rel, configuration_of(net, frozenset({"a"}))) == frozenset(
-        {"a"}
-    )
+    assert maximal_transitions(net, config) == frozenset({"d", "f"})
+    assert maximal_transitions(net, configuration_of(net, frozenset({"a"}))) == frozenset({"a"})
 
 
 # ---------------------------------------------------------------------------

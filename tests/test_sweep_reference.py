@@ -218,16 +218,18 @@ def ref_conditional_brute(pre, eval_cap=1_000_000) -> ConditionalReport:
 
 @contextmanager
 def shared_races():
-    """Race each (member, omega) once for both sweeps.
+    """Race each (member, omega, tie policy) once for both sweeps.
 
     The race is the same code under both; what differs, and is compared,
     is the bookkeeping around it: member order, pair order, memo and
-    budget.  Both sweeps keep their own memo and budget above this cache.
+    budget.  Both sweeps keep their own memo and budget above this cache:
+    the real sweep reaches it through ``monotony.resolutions``, the
+    reference through ``end_to_end`` and ``execute_all``.
     """
     members: dict = {}
     races: dict = {}
     real_instantiate = PreOrchNet.instantiate
-    real = {"end_to_end": end_to_end, "execute_all": execute_all}
+    real_resolutions = monotony.resolutions
 
     def instantiate(pre, assignment):
         key = (id(pre), assignment)
@@ -235,20 +237,24 @@ def shared_races():
             members[key] = (pre, real_instantiate(pre, assignment))
         return members[key][1]
 
-    def cached(name):
-        def race(orch, omega, *args):
-            key = (name, id(orch), omega, args)
-            if key not in races:
-                races[key] = (orch, real[name](orch, omega, *args))
-            return races[key][1]
+    def resolutions(orch, omega, tie="lex", *args):
+        key = (id(orch), omega, tie, args)
+        if key not in races:
+            races[key] = (orch, real_resolutions(orch, omega, tie, *args))
+        return races[key][1]
 
-        return race
+    def cached_end_to_end(orch, omega, tie_break="lex"):
+        (outcome,) = resolutions(orch, omega, tie_break)
+        return outcome
+
+    def cached_execute_all(orch, omega, *args):
+        return tuple(outcome.run for outcome in resolutions(orch, omega, "all", *args))
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(PreOrchNet, "instantiate", instantiate)
-        for name in real:
-            mp.setattr(monotony, name, cached(name))
-            mp.setattr(sys.modules[__name__], name, cached(name))
+        mp.setattr(monotony, "resolutions", resolutions)
+        mp.setattr(sys.modules[__name__], "end_to_end", cached_end_to_end)
+        mp.setattr(sys.modules[__name__], "execute_all", cached_execute_all)
         yield
 
 
