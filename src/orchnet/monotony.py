@@ -576,7 +576,7 @@ def _attempt(
 
     # dates over the forced prefix K under the finite baseline
     k_dates: dict[str, ExtendedDate] = {}
-    for node in sorted(cone_k, key=lambda n: (len(rel.below[n] & cone_k), n)):
+    for node in sorted(cone_k, key=rel.position.__getitem__):
         if node in unf.places:
             producers = unf.preset[node] & cone_k
             if producers:

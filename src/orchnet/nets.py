@@ -8,8 +8,10 @@ of places.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import combinations
 
 from .errors import CapExceededError, NetStructureError
 
@@ -131,16 +133,54 @@ def _cycle_node(net: Net) -> str | None:
 
 @dataclass(frozen=True)
 class NodeRelations:
-    """Precomputed order and conflict structure of an acyclic net.
+    """Order and conflict structure of an acyclic net.
 
-    ``below[x]`` is the strict causal past of x (every node on a flow path
-    into x).  Conflict is derived on demand from ``conflict_base``, the pairs
-    of distinct transitions sharing a preset place.
+    ``compute_relations`` fills the eager part in one topological pass, in
+    time and space near-linear in the net:
+
+    - ``order``: every node, in topological order (lexicographic among the
+      nodes that are ready together); ``position`` numbers it.
+    - ``conflict_base``: the pairs of distinct transitions that share a
+      preset place.
+    - ``choices[x]``: for each *choice place* (a place with two or more
+      consumers) that has a consumer in [x], the causal past of x with x
+      itself, that consumer.  A node with one parent shares its parent's
+      dict, so the maps are never mutated.
+    - ``self_conflicting``: the nodes x with x # x, whose past holds two
+      consumers of one place.
+
+    Two nodes are in conflict when their choice maps disagree on a place.
+    That is exact unless one of the nodes is self-conflicting, which an
+    occurrence net rules out: such a node's map names one of its rival
+    consumers only.
+
+    ``below`` (the strict causal past of each node) and ``above`` are
+    O(N^2) tables built on first use.  Only ``lt``, ``leq``, ``cone`` and
+    ``relation`` read them, for the synthesis cones in
+    ``monotony._descend``; validation, the race and date evaluation never
+    build them.
     """
 
     net: Net
-    below: dict[str, frozenset[str]]
+    order: tuple[str, ...]
     conflict_base: frozenset[frozenset[str]]
+    choices: dict[str, dict[str, str]]
+    self_conflicting: frozenset[str]
+
+    @cached_property
+    def position(self) -> dict[str, int]:
+        return {n: i for i, n in enumerate(self.order)}
+
+    @cached_property
+    def below(self) -> dict[str, frozenset[str]]:
+        below: dict[str, frozenset[str]] = {}
+        for node in self.order:
+            past: set[str] = set()
+            for parent in self.net.preset[node]:
+                past.add(parent)
+                past |= below[parent]
+            below[node] = frozenset(past)
+        return below
 
     @cached_property
     def above(self) -> dict[str, frozenset[str]]:
@@ -161,23 +201,21 @@ class NodeRelations:
         return self.below[x] | {x}
 
     def in_conflict(self, x: str, y: str) -> bool:
-        ts = self.net.transitions
-        xt = (self.below[x] | {x}) & ts
-        yt = (self.below[y] | {y}) & ts
-        for pair in self.conflict_base:
-            a, b = tuple(pair)
-            if (a in xt and b in yt) or (b in xt and a in yt):
-                return True
-        return False
+        return self.in_conflict_with(x, self.choices[y])
+
+    def in_conflict_with(self, x: str, chosen: dict[str, str]) -> bool:
+        """Whether [x] holds a consumer of some place of ``chosen`` other
+        than the one it maps that place to."""
+        mine = self.choices[x]
+        if mine is chosen:
+            return False
+        if len(chosen) < len(mine):
+            mine, chosen = chosen, mine
+        return any(chosen.get(p, t) != t for p, t in mine.items())
 
     def self_conflicts(self) -> frozenset[str]:
         """Nodes x with x # x (two conflicting transitions in their past)."""
-        bad: set[str] = set()
-        for pair in self.conflict_base:
-            a, b = tuple(pair)
-            shared = (self.above[a] | {a}) & (self.above[b] | {b})
-            bad |= shared
-        return frozenset(bad)
+        return self.self_conflicting
 
     def relation(self, x: str, y: str) -> str:
         """One of "eq", "lt", "gt", "conflict", "concurrent"."""
@@ -194,41 +232,67 @@ class NodeRelations:
 
 def compute_relations(net: Net) -> NodeRelations:
     """Causality/conflict structure; requires an acyclic flow graph."""
-    cyc = _cycle_node(net)
-    if cyc is not None:
-        raise NetStructureError(f"flow graph has a cycle through {cyc!r}")
     order = _topological_order(net)
-    below: dict[str, frozenset[str]] = {}
+    pre, post = net.preset, net.postset
+    choice_places = frozenset(p for p in net.places if len(post[p]) > 1)
+    no_choices: dict[str, str] = {}
+    choices: dict[str, dict[str, str]] = {}
+    conflicted: set[str] = set()
     for node in order:
-        past: set[str] = set()
-        for parent in net.preset[node]:
-            past.add(parent)
-            past |= below[parent]
-        below[node] = frozenset(past)
-    base = set()
-    for p in net.places:
-        consumers = sorted(net.postset[p])
-        for i, a in enumerate(consumers):
-            for b in consumers[i + 1 :]:
-                base.add(frozenset((a, b)))
-    return NodeRelations(net=net, below=below, conflict_base=frozenset(base))
+        # a place's parents are its producers, a transition's its preset
+        parents = pre[node]
+        clash = not conflicted.isdisjoint(parents)
+        # parents often share one map object: merge each object once
+        maps = {id(m): m for m in (choices[parent] for parent in parents)}.values()
+        merged = base = max(maps, key=len, default=no_choices)
+        for m in maps:
+            if m is base:
+                continue
+            for p, t in m.items():
+                have = merged.get(p)
+                if have is None:
+                    if merged is base:
+                        merged = dict(base)
+                    merged[p] = t
+                elif have != t:
+                    clash = True
+        for p in parents & choice_places:
+            # node consumes p; acyclicity keeps node out of its parents' pasts
+            if p in merged:
+                clash = True
+            else:
+                if merged is base:
+                    merged = dict(base)
+                merged[p] = node
+        choices[node] = merged
+        if clash:
+            conflicted.add(node)
+    base_pairs = frozenset(
+        frozenset(pair) for p in choice_places for pair in combinations(sorted(post[p]), 2)
+    )
+    return NodeRelations(
+        net=net,
+        order=tuple(order),
+        conflict_base=base_pairs,
+        choices=choices,
+        self_conflicting=frozenset(conflicted),
+    )
 
 
 def _topological_order(net: Net) -> list[str]:
     indeg = {n: len(net.preset[n]) for n in net.nodes}
-    ready = sorted(n for n, d in indeg.items() if d == 0)
+    ready = [n for n, d in indeg.items() if d == 0]
+    heapq.heapify(ready)
     order: list[str] = []
     while ready:
-        node = ready.pop(0)
+        node = heapq.heappop(ready)
         order.append(node)
-        for nxt in sorted(net.postset[node]):
+        for nxt in net.postset[node]:
             indeg[nxt] -= 1
             if indeg[nxt] == 0:
-                # insertion keeps 'ready' sorted; sizes here are small
-                ready.append(nxt)
-                ready.sort()
+                heapq.heappush(ready, nxt)
     if len(order) != len(net.nodes):
-        raise NetStructureError("flow graph has a cycle")
+        raise NetStructureError(f"flow graph has a cycle through {_cycle_node(net)!r}")
     return order
 
 
@@ -260,7 +324,11 @@ def validate_occurrence_net(net: Net) -> OccurrenceCheck:
     """
     diags: list[Diagnostic] = []
 
-    cyc = _cycle_node(net)
+    rel = cyc = None
+    try:
+        rel = compute_relations(net)
+    except NetStructureError:
+        cyc = _cycle_node(net)
     if cyc is not None:
         diags.append(
             Diagnostic(
@@ -293,9 +361,7 @@ def validate_occurrence_net(net: Net) -> OccurrenceCheck:
             )
         )
 
-    rel = None
-    if cyc is None:
-        rel = compute_relations(net)
+    if rel is not None:
         for x in sorted(rel.self_conflicts()):
             diags.append(
                 Diagnostic(
@@ -383,17 +449,19 @@ def clusters(net: Net) -> tuple[Cluster, ...]:
 
 
 def is_causally_closed(net: Net, rel: NodeRelations, nodes: frozenset[str]) -> bool:
-    return all(rel.below[n] <= nodes for n in nodes)
+    # closure under preset is closure under its transitive closure, the past
+    return all(net.preset[n] <= nodes for n in nodes)
 
 
 def is_conflict_free(rel: NodeRelations, nodes: frozenset[str]) -> bool:
-    ts = sorted(nodes & rel.net.transitions)
-    for i, a in enumerate(ts):
-        for b in ts[i + 1 :]:
-            if frozenset((a, b)) in rel.conflict_base:
-                return False
-    # base pairs inside the causal past are already covered: a configuration
-    # is causally closed, so conflicting ancestors would both be members
+    """No place has two consumers in ``nodes``.  Pairs in the causal past
+    are covered too, since a configuration is causally closed."""
+    consumed: set[str] = set()
+    for t in nodes & rel.net.transitions:
+        pre = rel.net.preset[t]
+        if not consumed.isdisjoint(pre):
+            return False
+        consumed |= pre
     return True
 
 

@@ -111,15 +111,20 @@ def eval_dates(orch: OrchNet, omega: int, prefix: frozenset[str]) -> PrefixEvalu
     net, rel = orch.net, orch.relations
     if not prefix <= net.nodes:
         raise NetStructureError(f"prefix contains unknown nodes: {sorted(prefix - net.nodes)}")
+    ordered = sorted(prefix, key=rel.position.__getitem__)
     if not is_causally_closed(net, rel, prefix):
-        bad = sorted(n for n in prefix if not rel.below[n] <= prefix)
-        raise NetStructureError(f"prefix is not causally closed at {bad}")
+        # a node is cut off when a preset node is outside or cut off itself
+        cut: set[str] = set()
+        for n in ordered:
+            if any(m not in prefix or m in cut for m in net.preset[n]):
+                cut.add(n)
+        raise NetStructureError(f"prefix is not causally closed at {sorted(cut)}")
     if not is_conflict_free(rel, prefix):
         raise NetStructureError("prefix is not conflict-free")
 
     dates: dict[str, ExtendedDate] = {}
     values: dict[str, Value] = {}
-    for node in sorted(prefix, key=lambda n: (len(rel.below[n] & prefix), n)):
+    for node in ordered:
         if node in net.places:
             producers = net.preset[node] & prefix
             if producers:
@@ -352,15 +357,12 @@ def future(orch: OrchNet, kappa: frozenset[str], omega: int) -> OrchNet:
             )
     ev = eval_dates(orch, omega, kappa)
 
-    max_places = frozenset(
-        p for p in kappa & net.places if not (rel.above[p] & kappa)
-    )
+    # kappa is causally closed, so a place is maximal in it when no
+    # consumer is in it, and the choice maps of kappa's nodes agree
+    max_places = frozenset(p for p in kappa & net.places if not (net.postset[p] & kappa))
     interior = kappa - max_places
-    blocked = {
-        n
-        for n in net.nodes - kappa
-        if any(rel.in_conflict(n, k) for k in kappa)
-    }
+    chosen = {p: t for t in kappa & net.transitions for p in net.preset[t]}
+    blocked = {n for n in net.nodes - kappa if rel.in_conflict_with(n, chosen)}
     keep = (net.nodes - interior - blocked) | max_places
 
     places = net.places & keep
@@ -374,9 +376,7 @@ def future(orch: OrchNet, kappa: frozenset[str], omega: int) -> OrchNet:
         places=places,
         transitions=transitions,
         flow=flow,
-        initial_marking=frozenset(
-            p for p in places if not any(src in keep for (src, dst) in net.flow if dst == p)
-        ) | max_places,
+        initial_marking=frozenset(p for p in places if not (net.preset[p] & keep)) | max_places,
     )
 
     initial_date: dict[str, LatencySpec] = {}

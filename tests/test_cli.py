@@ -178,6 +178,15 @@ def test_a_1500_transition_chain_simulates_and_checks(capsys, tmp_path):
     assert (report["status"], report["occurring_latency"]) == ("holds", "1500")
 
 
+def test_a_10000_transition_chain_simulates(capsys, tmp_path):
+    # validation used to store every node's causal past: O(N^2) time and memory
+    path = _chain_document(tmp_path, 10_000)
+    code, report = run_cli(capsys, "simulate", path, "--omega", "0")
+    assert code == 0
+    (run,) = report["runs"]
+    assert (run["end_to_end"], len(run["fired"]), run["stalled"]) == ("10000", 10_000, False)
+
+
 # ---------------------------------------------------------------------------
 # checkers
 

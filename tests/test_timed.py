@@ -1,5 +1,6 @@
 """Race-policy execution: dates, stalls, ties, futures, family order."""
 
+import json
 import random
 from dataclasses import replace
 
@@ -29,10 +30,12 @@ from orchnet import (
     future,
     latency_of_prefix,
     load_corpus,
+    loads,
     net_from_arcs,
     per_omega_latency,
     replace_class_latency,
     resolutions,
+    summarize_run,
     unfold,
 )
 from orchnet.specs import LatencyExpr
@@ -496,3 +499,50 @@ def test_orchnet_leaves_the_initial_value_dict_it_was_given_unchanged():
     )
     assert given == {}
     assert orch.initial_value == {"p": atom("p")}
+
+
+# ---------------------------------------------------------------------------
+# Scale: validation and the race build no table quadratic in the net
+
+
+def _occurrence_document(transitions):
+    places = sorted({p for _, pre, post, _ in transitions for p in (*pre, *post)})
+    return {
+        "format_version": 1,
+        "kind": "occurrence",
+        "omega_count": 1,
+        "places": [{"id": p} for p in places],
+        "transitions": [
+            {"id": t, "pre": pre, "post": post, "latency": {"kind": "const", "value": str(lat)}}
+            for t, pre, post, lat in transitions
+        ],
+    }
+
+
+def _build_and_race(transitions):
+    orch = build(loads(json.dumps(_occurrence_document(transitions)))).pre.baseline()
+    result = summarize_run(orch, execute(orch, 0))
+    # the O(N^2) causal-past tables stay unbuilt
+    assert not {"below", "above"} & orch.relations.__dict__.keys()
+    return result
+
+
+def test_a_10000_transition_chain_builds_and_races_without_causal_past_tables():
+    n = 10_000
+    chain = [(f"t{i:05d}", [f"p{i:05d}"], [f"p{i + 1:05d}"], 1) for i in range(n)]
+    result = _build_and_race(chain)
+    assert result.latency == date_of(n)
+    assert result.values == frozenset({atom(f"t{n - 1:05d}")})
+    assert len(result.run.step_order) == n and not result.run.stalled
+
+
+def test_a_2000_branch_fork_join_builds_and_races_without_causal_past_tables():
+    w = 2_000
+    branches = [(f"b{i:04d}", [f"a{i:04d}"], [f"c{i:04d}"], i % 7) for i in range(w)]
+    fork = ("fork", ["src"], [f"a{i:04d}" for i in range(w)], 1)
+    join = ("join", [f"c{i:04d}" for i in range(w)], ["sink"], 1)
+    result = _build_and_race([fork, *branches, join])
+    assert result.latency == date_of(1 + 6 + 1)
+    assert result.values == frozenset({atom("join")})
+    assert result.run.step_order[0] == "fork" and result.run.step_order[-1] == "join"
+    assert len(result.run.step_order) == w + 2 and not result.run.stalled
