@@ -14,11 +14,14 @@ Entry points:
   policy: ``"lex"`` gives the one deterministic run, ``"all"`` one
   outcome per distinct tie resolution.  Every decider and the CLI go
   through it; :func:`orchnet.timed.execute` /
-  :func:`orchnet.timed.end_to_end` are the lex run alone.
+  :func:`orchnet.timed.end_to_end` are the lex run alone.  The grid
+  sweeps race members on ``PreOrchNet.kernel`` instead, which gives the
+  same outcomes on integer dates, and replay only their witness pair
+  through it.
 * :mod:`orchnet.monotony` has the deciders: the structural cluster
   condition, the global optimality condition, the brute-force grid
   oracle, counterexample synthesis, and conditional monotony.
-* ``python -m orchnet.cli`` (or the ``orchnet`` script) wraps all of the
+* ``python -m orchnet`` (or the ``orchnet`` script) wraps all of the
   above with deterministic JSON reports.
 """
 

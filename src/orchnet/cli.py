@@ -377,6 +377,13 @@ def _cmd_check_conditional(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _cap(text: str) -> int:
+    """A cap: a non-negative int."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="orchnet",
@@ -391,7 +398,7 @@ def _build_parser() -> argparse.ArgumentParser:
         return p
 
     p = add("validate", _cmd_validate, "check document shape and net conditions")
-    p.add_argument("--cap", type=int, default=1_000_000, help="marking exploration cap")
+    p.add_argument("--cap", type=_cap, default=1_000_000, help="marking exploration cap")
 
     add("unfold", _cmd_unfold, "print the unfolding and its folding map")
 
@@ -404,12 +411,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("check-global", _cmd_check_global, "occurring configuration is slowest-case optimal")
     p.add_argument("--omega", type=int, required=True)
     p.add_argument("--tie", choices=("lex", "all"), default="lex")
-    p.add_argument("--cap", type=int, default=100_000, help="configuration enumeration cap")
+    p.add_argument("--cap", type=_cap, default=100_000, help="configuration enumeration cap")
 
     p = add("oracle", _cmd_oracle, "brute-force monotony over the declared grids")
     p.add_argument("--mode", choices=("all_pairs", "adjacent"), default="all_pairs")
     p.add_argument("--tie", choices=("lex", "all"), default="lex")
-    p.add_argument("--cap", type=int, default=1_000_000, help="member evaluation cap")
+    p.add_argument("--cap", type=_cap, default=1_000_000, help="member evaluation cap")
 
     p = add("counterexample", _cmd_counterexample, "synthesize a verified monotony violation")
     p.add_argument("--omega", type=int, required=True)
@@ -418,7 +425,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("check-conditional", _cmd_check_conditional, "monotony for equal-value deliveries")
     p.add_argument("--tie", choices=("lex", "all"), default="lex")
     p.add_argument("--force-brute", action="store_true", help="skip the distinct-values fast path")
-    p.add_argument("--cap", type=int, default=1_000_000, help="member evaluation cap")
+    p.add_argument("--cap", type=_cap, default=1_000_000, help="member evaluation cap")
 
     return parser
 

@@ -40,6 +40,7 @@ from .timed import (
     EndToEnd,
     FamilyAssignment,
     GridIndex,
+    KernelRun,
     OrchNet,
     PreOrchNet,
     compare_families,
@@ -244,40 +245,66 @@ class _SweepResult:
         return "non_monotonic" if self.hit is not None else holds
 
 
-def _sweep(pre: PreOrchNet, mode: str, tie_break: str, violates, eval_cap: int, cap_message: str) -> _SweepResult:
+def _sweep(
+    pre: PreOrchNet,
+    mode: str,
+    tie_break: str,
+    violates,
+    eval_cap: int,
+    cap_message: str,
+    values: bool = False,
+) -> _SweepResult:
     """Walk dominating member pairs (hi, lo) in canonical order and stop at
     the first violation.
 
-    The ``resolutions`` of one member under ``tie_break`` are memoised per
-    (member index, omega) and charged to one budget of ``eval_cap``
-    evaluations.  A pair violates at an omega when ``violates(h, l)``
-    holds for some hi outcome h and lo outcome l.
+    Members are raced on ``pre.kernel``; the outcomes of one member under
+    ``tie_break`` are memoised per (member index, omega) and charged to one
+    budget of ``eval_cap`` evaluations.  A pair violates at an omega when
+    ``violates(h, l)`` holds for some hi outcome h and lo outcome l, both
+    ``KernelRun``s (with their value sets when ``values`` is set).  The
+    violating pair alone is raced again through ``resolutions`` for the
+    witness.
     """
     grid = pre.grid_index
-    memo: dict[tuple[int, int], tuple[EndToEnd, ...]] = {}
+    memo: dict[tuple[int, int], tuple[KernelRun, ...]] = {}
     budget = eval_cap
     pairs_checked = 0
 
-    def outcomes(idx: int, omega: int) -> tuple[EndToEnd, ...]:
+    def race(idx: int, omega: int) -> tuple[KernelRun, ...]:
         nonlocal budget
-        key = (idx, omega)
-        if key not in memo:
-            if budget <= 0:
-                raise CapExceededError(cap_message)
-            budget -= 1
-            memo[key] = resolutions(pre.instantiate(grid.member(idx)), omega, tie_break)
-        return memo[key]
+        if budget <= 0:
+            raise CapExceededError(cap_message)
+        budget -= 1
+        memo[idx, omega] = runs = pre.kernel.race(idx, omega, tie_break, values=values)
+        return runs
+
+    def replay(idx: int, omega: int, pos: int, run: KernelRun) -> EndToEnd:
+        member = grid.member(idx)
+        outcome = resolutions(pre.instantiate(member), omega, tie_break)[pos]
+        if outcome.latency != pre.kernel.date(omega, run.latency) or (
+            values and outcome.values != run.values
+        ):
+            raise AssertionError(
+                f"race kernel disagrees with the race of member {member} at omega {omega}"
+            )
+        return outcome
 
     try:
         for hi_idx, lo_idx in _dominating_pairs(grid, mode):
             pairs_checked += 1
             for omega in range(pre.omega_count):
-                hi_all = outcomes(hi_idx, omega)
-                lo_all = outcomes(lo_idx, omega)
-                for h in hi_all:
-                    for l in lo_all:
+                hi_all = memo.get((hi_idx, omega)) or race(hi_idx, omega)
+                lo_all = memo.get((lo_idx, omega)) or race(lo_idx, omega)
+                for h_pos, h in enumerate(hi_all):
+                    for l_pos, l in enumerate(lo_all):
                         if violates(h, l):
-                            hit = (grid.member(hi_idx), grid.member(lo_idx), omega, h, l)
+                            hit = (
+                                grid.member(hi_idx),
+                                grid.member(lo_idx),
+                                omega,
+                                replay(hi_idx, omega, h_pos, h),
+                                replay(lo_idx, omega, l_pos, l),
+                            )
                             return _SweepResult(hit, pairs_checked, "")
     except CapExceededError as exc:
         return _SweepResult(None, pairs_checked, str(exc))
@@ -819,6 +846,7 @@ def conditional_monotony_check(
         lambda hi, lo: hi.values == lo.values and hi.latency < lo.latency,
         eval_cap,
         f"conditional check exceeded evaluation cap {eval_cap}",
+        values=True,
     )
     witness = None
     if sweep.hit is not None:

@@ -20,9 +20,14 @@ the run is flagged stalled, and the end-to-end latency is infinite.
 
 from __future__ import annotations
 
+from collections import Counter
 from copy import copy
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 from functools import cached_property
+from heapq import heapify, heappop, heappush
+from math import lcm
+from typing import NamedTuple
 
 from .attributes import DATE_INF, DATE_ZERO, ExtendedDate, Value, atom, date_max
 from .errors import CapExceededError, EvaluationError, NetStructureError
@@ -592,6 +597,11 @@ class PreOrchNet:
     def grid_index(self) -> GridIndex:
         return GridIndex.of(self)
 
+    @cached_property
+    def kernel(self) -> "RaceKernel":
+        """The race of every grid member, compiled once (see RaceKernel)."""
+        return RaceKernel(self)
+
     def assignments(self) -> tuple[FamilyAssignment, ...]:
         """Every grid member, in canonical order.
 
@@ -646,3 +656,288 @@ def replace_class_latency(pre: PreOrchNet, cls: str, spec: LatencySpec) -> PreOr
     new_spec = dict(pre.class_spec)
     new_spec[cls] = spec
     return replace(pre, class_spec=new_spec)
+
+
+# ---------------------------------------------------------------------------
+# The race kernel: every member of a grid family, raced on integers
+
+
+class KernelRun(NamedTuple):
+    """One tie resolution of one member, raced on a RaceKernel."""
+
+    latency: int  # scaled end-to-end latency; the table's ``inf`` when infinite
+    fired: tuple[int, ...]  # transition numbers, in firing order
+    stalled: bool
+    values: frozenset[Value] | None  # of the maximal fired transitions, when asked for
+
+
+@dataclass(frozen=True)
+class _OmegaTable:
+    """What every member's race at one omega shares.
+
+    A date is an int: the exact date times ``scale``, the least common
+    denominator of every date the family can take at this omega.  ``inf``
+    is larger than any finite date a run can reach, and a sum that passes
+    it is cut back to it.
+    """
+
+    scale: int
+    inf: int
+    latency: list[int]  # per transition, with the gridded entries left to fill
+    latency_slots: tuple[tuple[int, int], ...]  # (transition, coordinate)
+    dates: list[int]  # per date source: 0 for transitions, initial dates after
+    date_slots: tuple[tuple[int, int], ...]  # (date source, coordinate)
+    digits: tuple[tuple[int, ...], ...]  # per coordinate: its scaled grid values
+    errors: dict[int, EvaluationError]  # raised when a race enables the transition
+    initial_error: EvaluationError | None  # raised when a race starts
+    values: list[Value | None]  # per transition
+
+
+class RaceKernel:
+    """The race policy on every member of one PreOrchNet's grid.
+
+    Members differ only in their latency constants, so the net is compiled
+    once.  Transitions are numbered in sorted-id order, so a lower number
+    wins a lex tie.  A *date source* is a transition's number, or ``n + m``
+    for the m-th minimal place in sorted-id order; each transition keeps
+    the sources of its preset, in sorted place order, its postset
+    consumers and its rivals (the other consumers of its preset).
+
+    Each place of an occurrence net has one producer, so a transition's
+    value, guard outcome and ``expr`` latency do not depend on the member.
+    They are evaluated once per omega, in ``OrchNet.transition_date``'s
+    order (value, guard, latency), and an EvaluationError is kept and
+    raised when a race first enables that transition, as the race of the
+    member's OrchNet would raise it.
+
+    Enabled transitions wait on a heap keyed by (date, number): the event
+    list of a discrete-event simulation.  A new date is its preset's date
+    plus a latency, so firing dates never decrease.  The rivals of a fired
+    transition are marked dead and dropped when they reach the top.
+    """
+
+    def __init__(self, pre: PreOrchNet) -> None:
+        # checks the family as instantiating a member would
+        self.orch = pre.assemble(
+            {t: pre.class_spec[c] for c, ts in pre.classes.items() for t in ts}, pre.initial_date
+        )
+        net = pre.net
+        self.pre = pre
+        self.grid = grid = pre.grid_index
+        self.transitions = names = tuple(sorted(net.transitions))
+        n = len(names)
+        number = {t: i for i, t in enumerate(names)}
+        source = {p: n + m for m, p in enumerate(grid.place_ids)}
+        for t in names:
+            for p in net.postset[t]:
+                source[p] = number[t]
+        self.sources = tuple(tuple(source[p] for p in sorted(net.preset[t])) for t in names)
+        self.missing = [sum(1 for p in net.preset[t] if net.preset[p]) for t in names]
+        self.starts = tuple(i for i in range(n) if not self.missing[i])
+        feeds, rivals = [], []
+        for t in names:
+            fed = Counter(number[c] for p in net.postset[t] for c in net.postset[p])
+            feeds.append(tuple(sorted(fed.items())))
+            rival = {number[c] for p in net.preset[t] for c in net.postset[p]} - {number[t]}
+            rivals.append(tuple(sorted(rival)))
+        self.feeds, self.rivals = tuple(feeds), tuple(rivals)
+        self.after = tuple(frozenset(c for c, _ in fed) for fed in feeds)
+        coordinate = {c: k for k, c in enumerate(grid.class_ids)}
+        self.class_coordinate = {t: coordinate[c] for c, ts in pre.classes.items() for t in ts}
+        self.radices = tuple(len(ds) for ds in grid.digits)
+        self._tables: dict[int, _OmegaTable] = {}
+
+    def _table(self, omega: int) -> _OmegaTable:
+        tab = self._tables.get(omega)
+        if tab is None:
+            tab = self._tables[omega] = self._compile(omega)
+        return tab
+
+    def _compile(self, omega: int) -> _OmegaTable:
+        pre, grid, names = self.pre, self.grid, self.transitions
+        n = len(names)
+        gridded = [ds[0] is not None for ds in grid.digits]
+        number = {t: i for i, t in enumerate(names)}
+        values: list[Value | None] = [None] * n
+        values += [self.orch.initial_value[p] for p in grid.place_ids]
+        delays: list[ExtendedDate | None] = [DATE_ZERO] * n  # None: read off the grid
+        errors: dict[int, EvaluationError] = {}
+        for t in self.orch.relations.order:
+            i = number.get(t)
+            if i is None:
+                continue
+            inputs = tuple(values[s] for s in self.sources[i])
+            if None in inputs:
+                continue  # a producer raises first, so t is never enabled
+            k = self.class_coordinate[t]
+            try:
+                value = pre.value_fn[t].evaluate(omega, inputs)
+                guard = pre.guard.get(t)
+                if guard is not None and not guard.evaluate(inputs):
+                    delay = DATE_INF
+                elif gridded[k]:
+                    delay = None
+                else:
+                    delay = pre.class_spec[grid.class_ids[k]].evaluate(omega, inputs)
+            except EvaluationError as exc:
+                errors[i] = exc
+                continue
+            values[i], delays[i] = value, delay
+        initial: list[ExtendedDate] = [DATE_ZERO] * len(grid.place_ids)
+        initial_error = None
+        place_number = {p: m for m, p in enumerate(grid.place_ids)}
+        for p in pre.net.minimal_places:  # the order in which a race reads them
+            m = place_number[p]
+            if gridded[len(grid.class_ids) + m] or initial_error is not None:
+                continue
+            try:
+                initial[m] = pre.initial_date[p].value_at(omega)
+            except EvaluationError as exc:
+                initial_error = exc
+
+        exact = [d for ds in grid.digits if ds[0] is not None for d in ds]
+        exact += [d for d in delays if d is not None] + initial
+        scale = lcm(*(d.finite.denominator for d in exact if d.is_finite))
+
+        def scaled(d: ExtendedDate) -> int | None:  # None stands for infinity
+            q = d.finite
+            return None if q is None else q.numerator * (scale // q.denominator)
+
+        def top(xs) -> int:
+            return max((x for x in xs if x is not None), default=0)
+
+        grid_dates = [[scaled(d) for d in ds] if on else [] for ds, on in zip(grid.digits, gridded)]
+        ncls = len(grid.class_ids)
+        # a finite date is a start plus at most one latency per transition
+        bound = top([scaled(d) for d in initial] + [x for ds in grid_dates[ncls:] for x in ds])
+        for t, d in zip(names, delays):
+            bound += top(grid_dates[self.class_coordinate[t]] if d is None else [scaled(d)])
+        inf = bound + 1
+
+        def fixed(d: ExtendedDate) -> int:
+            s = scaled(d)
+            return inf if s is None else s
+
+        return _OmegaTable(
+            scale=scale,
+            inf=inf,
+            latency=[0 if d is None else fixed(d) for d in delays],
+            latency_slots=tuple(
+                (i, self.class_coordinate[t])
+                for i, (t, d) in enumerate(zip(names, delays))
+                if d is None
+            ),
+            dates=[0] * n + [fixed(d) for d in initial],
+            date_slots=tuple(
+                (n + m, ncls + m) for m in range(len(grid.place_ids)) if gridded[ncls + m]
+            ),
+            digits=tuple(tuple(inf if x is None else x for x in ds) for ds in grid_dates),
+            errors=errors,
+            initial_error=initial_error,
+            values=values[:n],
+        )
+
+    def date(self, omega: int, scaled: int) -> ExtendedDate:
+        """The exact date of a scaled date at ``omega``."""
+        tab = self._table(omega)
+        return DATE_INF if scaled >= tab.inf else ExtendedDate(Fraction(scaled, tab.scale))
+
+    def race(
+        self, idx: int, omega: int, tie: str = "lex", cap: int = 10_000, values: bool = False
+    ) -> tuple[KernelRun, ...]:
+        """The outcomes of grid member ``idx`` at ``omega``, as
+        ``resolutions(pre.instantiate(grid.member(idx)), omega, tie, cap)``
+        gives them: one per distinct fired set, in the same order, with the
+        same cap on tie branches."""
+        if tie not in ("lex", "all"):
+            raise NetStructureError(f"unknown tie_break {tie!r}")
+        self.orch.check_omega(omega)
+        tab = self._table(omega)
+        if tab.initial_error is not None:
+            raise tab.initial_error
+        strides, radices, digits = self.grid.strides, self.radices, tab.digits
+        latency = tab.latency.copy()
+        for i, k in tab.latency_slots:
+            latency[i] = digits[k][idx // strides[k] % radices[k]]
+        dates = tab.dates.copy()
+        for s, k in tab.date_slots:
+            dates[s] = digits[k][idx // strides[k] % radices[k]]
+        start = max(dates[len(latency) :], default=0)
+        runs = []
+        for fired, stalled, last in self._race(tab, latency, dates, tie == "all", cap):
+            total = tab.inf if stalled else max(last, start)
+            maximal = None
+            if values:
+                done = set(fired)
+                maximal = frozenset(tab.values[t] for t in fired if done.isdisjoint(self.after[t]))
+            runs.append(KernelRun(total, tuple(fired), stalled, maximal))
+        return tuple(runs)
+
+    def _race(self, tab: _OmegaTable, latency: list[int], dates: list[int], branch: bool, cap: int):
+        """The (fired, stalled, last firing date) of each distinct fired
+        set, in the order of ``resolutions``.  Branching follows
+        ``_run_race``: depth first, in tie order, with each step charging
+        its tied count to ``cap``."""
+        inf, errors = tab.inf, tab.errors
+        sources, feeds, rivals = self.sources, self.feeds, self.rivals
+        heap = []
+        for c in self.starts:
+            if c in errors:
+                raise errors[c]
+            d = latency[c] + max(map(dates.__getitem__, sources[c]), default=0)
+            heap.append((d if d < inf else inf, c))
+        heapify(heap)
+        runs: dict[frozenset[int], tuple[list[int], bool, int]] = {}
+        branches = 0
+        stack = [(([], self.missing.copy(), bytearray(len(latency)), dates, heap), None)]
+        while stack:
+            state, entry = stack.pop()
+            fired, missing, dead, dates, heap = state
+            date_at = dates.__getitem__
+            while True:
+                if entry is None:
+                    while heap and dead[heap[0][1]]:
+                        heappop(heap)
+                    if not heap or heap[0][0] >= inf:
+                        break
+                    if not branch:
+                        entry = heappop(heap)
+                    else:
+                        best = heap[0][0]
+                        tied = []
+                        while heap and heap[0][0] == best:
+                            u = heappop(heap)[1]
+                            if not dead[u]:
+                                tied.append(u)
+                        branches += len(tied)
+                        if branches > cap:
+                            raise CapExceededError(f"tie enumeration exceeded cap {cap}")
+                        for u in tied:
+                            heappush(heap, (best, u))
+                        entry = (best, tied[0])
+                        for u in reversed(tied[1:]):
+                            copies = (fired.copy(), missing.copy(), dead.copy(), dates.copy(), heap.copy())
+                            stack.append((copies, (best, u)))
+                d, t = entry
+                dead[t] = 1
+                fired.append(t)
+                dates[t] = d
+                for r in rivals[t]:
+                    dead[r] = 1
+                for c, k in feeds[t]:
+                    left = missing[c] = missing[c] - k
+                    if not left and not dead[c]:
+                        if c in errors:
+                            raise errors[c]
+                        e = latency[c] + max(map(date_at, sources[c]))
+                        heappush(heap, (e if e < inf else inf, c))
+                entry = None
+            runs.setdefault(frozenset(fired), (fired, bool(heap), dates[fired[-1]] if fired else 0))
+        if len(runs) == 1:
+            return list(runs.values())
+        names, net = self.transitions, self.pre.net
+
+        def occurring(run):
+            return tuple(sorted(configuration_of(net, frozenset(names[t] for t in run[0]))))
+
+        return sorted(runs.values(), key=occurring)

@@ -412,3 +412,41 @@ def test_closed_stdout_exits_2_without_a_traceback():
         os.close(write_end)
     assert proc.returncode == 2
     assert proc.stderr == b""
+
+
+def test_python_dash_m_orchnet_runs_the_cli():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "orchnet", "oracle", "corpus:branch-race"],
+        capture_output=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == b""
+    assert json.loads(proc.stdout)["outcome"] == "non_monotonic"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("validate", "corpus:choice-join", "--cap", "-1"),
+        ("check-global", "corpus:branch-race", "--omega", "0", "--cap", "-1"),
+        ("oracle", "corpus:branch-race", "--cap", "-3"),
+        ("check-conditional", "corpus:choice-join", "--force-brute", "--cap", "-2"),
+    ],
+)
+def test_a_negative_cap_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main(list(argv))
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--cap: expected a non-negative integer" in captured.err
+
+
+def test_a_zero_cap_is_accepted(capsys):
+    code, report = run_cli(capsys, "oracle", "corpus:branch-race", "--cap", "0")
+    assert code == 3
+    assert report["outcome"] == "undecided"

@@ -1,11 +1,13 @@
-"""Differential test: the grid-index sweep against the member-list sweep.
+"""Differential test: the kernel sweep against the member-list sweep.
 
 The reference below is the oracle and conditional brute force as they
-were before the mixed-radix grid index: a materialised member list sorted
-by string keys, adjacent raises found by re-sorting each grid and looking
-the raised member up by key, and all pairs found by filtering every
-ordered member pair through ``dominates``.  Every report (verdict,
-witness, members and pairs checked, cap note) must come out equal.
+were before the mixed-radix grid index and the race kernel: a
+materialised member list sorted by string keys, adjacent raises found by
+re-sorting each grid and looking the raised member up by key, all pairs
+found by filtering every ordered member pair through ``dominates``, and
+each member instantiated as an ``OrchNet`` and raced by ``end_to_end`` or
+``execute_all``.  Every report (verdict, witness, members and pairs
+checked, cap note) must come out equal.
 """
 
 import sys
@@ -26,7 +28,6 @@ from orchnet import (
     load_corpus,
     net_from_arcs,
 )
-import orchnet.monotony as monotony
 from orchnet.attributes import atom, value_sort_key
 from orchnet.errors import CapExceededError
 from orchnet.monotony import ConditionalReport, ConditionalWitness, OracleReport, OracleWitness
@@ -44,6 +45,10 @@ def _sort_key(m: FamilyAssignment):
         tuple((c, v is None, str(v)) for c, v in m.class_values),
         tuple((p, v is None, str(v)) for p, v in m.place_values),
     )
+
+
+def ref_member(pre: PreOrchNet, member: FamilyAssignment):
+    return pre.instantiate(member)
 
 
 def ref_assignments(pre: PreOrchNet) -> tuple[FamilyAssignment, ...]:
@@ -106,7 +111,7 @@ def ref_oracle(pre, tie_break="lex", mode="all_pairs", eval_cap=1_000_000) -> Or
             if budget["left"] <= 0:
                 raise CapExceededError(f"oracle exceeded evaluation cap {eval_cap}")
             budget["left"] -= 1
-            orch = pre.instantiate(members[idx])
+            orch = ref_member(pre, members[idx])
             if tie_break == "lex":
                 memo[key] = (end_to_end(orch, omega, "lex"),)
             else:
@@ -177,7 +182,7 @@ def ref_conditional_brute(pre, eval_cap=1_000_000) -> ConditionalReport:
             if budget["left"] <= 0:
                 raise CapExceededError(f"conditional check exceeded evaluation cap {eval_cap}")
             budget["left"] -= 1
-            memo[key] = end_to_end(pre.instantiate(members[idx]), omega, "lex")
+            memo[key] = end_to_end(ref_member(pre, members[idx]), omega, "lex")
         return memo[key]
 
     try:
@@ -218,41 +223,38 @@ def ref_conditional_brute(pre, eval_cap=1_000_000) -> ConditionalReport:
 
 @contextmanager
 def shared_races():
-    """Race each (member, omega, tie policy) once for both sweeps.
+    """Race each (member, omega, tie policy) of the reference once.
 
-    The race is the same code under both; what differs, and is compared,
-    is the bookkeeping around it: member order, pair order, memo and
-    budget.  Both sweeps keep their own memo and budget above this cache:
-    the real sweep reaches it through ``monotony.resolutions``, the
-    reference through ``end_to_end`` and ``execute_all``.
+    The reference sweeps keep their own memo and budget above this cache;
+    it spares them racing a member again for each mode.  The real sweep
+    is left uncached: it races members on ``pre.kernel`` and replays only
+    the witness pair through ``monotony.resolutions``, so every report
+    compares the kernel sweep with the reference sweep.
     """
     members: dict = {}
     races: dict = {}
-    real_instantiate = PreOrchNet.instantiate
-    real_resolutions = monotony.resolutions
+    real_end_to_end, real_execute_all = end_to_end, execute_all
 
-    def instantiate(pre, assignment):
+    def cached_member(pre, assignment):
         key = (id(pre), assignment)
         if key not in members:
-            members[key] = (pre, real_instantiate(pre, assignment))
+            members[key] = (pre, pre.instantiate(assignment))
         return members[key][1]
 
-    def resolutions(orch, omega, tie="lex", *args):
-        key = (id(orch), omega, tie, args)
+    def cached_end_to_end(orch, omega, tie_break="lex"):
+        key = (id(orch), omega, tie_break)
         if key not in races:
-            races[key] = (orch, real_resolutions(orch, omega, tie, *args))
+            races[key] = (orch, real_end_to_end(orch, omega, tie_break))
         return races[key][1]
 
-    def cached_end_to_end(orch, omega, tie_break="lex"):
-        (outcome,) = resolutions(orch, omega, tie_break)
-        return outcome
-
     def cached_execute_all(orch, omega, *args):
-        return tuple(outcome.run for outcome in resolutions(orch, omega, "all", *args))
+        key = (id(orch), omega, "all", args)
+        if key not in races:
+            races[key] = (orch, real_execute_all(orch, omega, *args))
+        return races[key][1]
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(PreOrchNet, "instantiate", instantiate)
-        mp.setattr(monotony, "resolutions", resolutions)
+        mp.setattr(sys.modules[__name__], "ref_member", cached_member)
         mp.setattr(sys.modules[__name__], "end_to_end", cached_end_to_end)
         mp.setattr(sys.modules[__name__], "execute_all", cached_execute_all)
         yield
