@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import total_ordering
+from functools import lru_cache, total_ordering
 
 from .errors import EvaluationError
 
@@ -93,8 +93,13 @@ def parse_rational(text: str) -> Fraction:
         raise EvaluationError(f"bad number {text!r}: {exc}") from exc
 
 
+@lru_cache(maxsize=4096)
 def parse_date(text: str) -> ExtendedDate:
-    """Parse a date string: "inf", a decimal, or "p/q"."""
+    """Parse a date string: "inf", a decimal, or "p/q".
+
+    Memoized (dates are immutable; a failed parse is not cached): documents
+    repeat a few latency strings thousands of times.
+    """
     if text.strip() == "inf":
         return DATE_INF
     return ExtendedDate(parse_rational(text))

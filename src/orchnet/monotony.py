@@ -32,8 +32,8 @@ from .nets import (
     Net,
     WorkflowNet,
     clusters,
-    compute_relations,
     maximal_configurations,
+    require_occurrence_net,
 )
 from .specs import LatencySpec
 from .timed import (
@@ -437,7 +437,7 @@ def synthesize_counterexample(
     result = unfold(carrier)
     unf = result.unfolding
     phi = result.morphism.node_map
-    rel = compute_relations(unf)
+    rel = require_occurrence_net(unf)  # memoized: the unfolder validated unf
     pre = induced_preorchnet(result, net, specs)
 
     base = _finite_baseline(pre, omega_star)

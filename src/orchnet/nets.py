@@ -140,8 +140,6 @@ class NodeRelations:
 
     - ``order``: every node, in topological order (lexicographic among the
       nodes that are ready together); ``position`` numbers it.
-    - ``conflict_base``: the pairs of distinct transitions that share a
-      preset place.
     - ``choices[x]``: for each *choice place* (a place with two or more
       consumers) that has a consumer in [x], the causal past of x with x
       itself, that consumer.  A node with one parent shares its parent's
@@ -154,22 +152,35 @@ class NodeRelations:
     occurrence net rules out: such a node's map names one of its rival
     consumers only.
 
-    ``below`` (the strict causal past of each node) and ``above`` are
-    O(N^2) tables built on first use.  Only ``lt``, ``leq``, ``cone`` and
-    ``relation`` read them, for the synthesis cones in
-    ``monotony._descend``; validation, the race and date evaluation never
-    build them.
+    Built on first use:
+
+    - ``conflict_base``: the pairs of distinct transitions that share a
+      preset place, O(k^2) for a place with k consumers.  Nothing in the
+      package reads it.
+    - ``below`` (the strict causal past of each node) and ``above``: O(N^2)
+      tables.  Only ``lt``, ``leq``, ``cone`` and ``relation`` read them,
+      for the synthesis cones in ``monotony._descend``; validation, the
+      race and date evaluation never build them.
     """
 
     net: Net
     order: tuple[str, ...]
-    conflict_base: frozenset[frozenset[str]]
     choices: dict[str, dict[str, str]]
     self_conflicting: frozenset[str]
 
     @cached_property
     def position(self) -> dict[str, int]:
         return {n: i for i, n in enumerate(self.order)}
+
+    @cached_property
+    def conflict_base(self) -> frozenset[frozenset[str]]:
+        post = self.net.postset
+        return frozenset(
+            frozenset(pair)
+            for p in self.net.places
+            if len(post[p]) > 1
+            for pair in combinations(sorted(post[p]), 2)
+        )
 
     @cached_property
     def below(self) -> dict[str, frozenset[str]]:
@@ -230,50 +241,67 @@ class NodeRelations:
         return "concurrent"
 
 
+_NO_CHOICES: dict = {}
+
+
+def merge_choices(maps, own=()) -> tuple[dict, bool]:
+    """The union of choice maps, plus the ``own`` (choice, consumer) pairs
+    of the node being added.
+
+    Returns the union and whether it clashes: two maps send one choice to
+    different consumers (their nodes are in conflict), or an ``own`` choice
+    is already a key (it was consumed in the node's own past).  Maps are
+    never mutated: the largest one is returned as is when nothing is added
+    to it, and copied otherwise.
+    """
+    if len(maps) == 1 and not own:
+        return maps[0], False  # most nodes: share the one parent's map
+    # parents often share one map object: merge each object once
+    maps = {id(m): m for m in maps}.values()
+    merged = base = max(maps, key=len, default=_NO_CHOICES)
+    clash = False
+    for m in maps:
+        if m is base:
+            continue
+        for p, t in m.items():
+            have = merged.get(p)
+            if have is None:
+                if merged is base:
+                    merged = dict(base)
+                merged[p] = t
+            elif have != t:
+                clash = True
+    for p, t in own:
+        if p in merged:
+            clash = True
+        else:
+            if merged is base:
+                merged = dict(base)
+            merged[p] = t
+    return merged, clash
+
+
 def compute_relations(net: Net) -> NodeRelations:
     """Causality/conflict structure; requires an acyclic flow graph."""
     order = _topological_order(net)
     pre, post = net.preset, net.postset
     choice_places = frozenset(p for p in net.places if len(post[p]) > 1)
-    no_choices: dict[str, str] = {}
     choices: dict[str, dict[str, str]] = {}
     conflicted: set[str] = set()
     for node in order:
-        # a place's parents are its producers, a transition's its preset
+        # a place's parents are its producers, a transition's its preset;
+        # acyclicity keeps node out of its parents' pasts
         parents = pre[node]
-        clash = not conflicted.isdisjoint(parents)
-        # parents often share one map object: merge each object once
-        maps = {id(m): m for m in (choices[parent] for parent in parents)}.values()
-        merged = base = max(maps, key=len, default=no_choices)
-        for m in maps:
-            if m is base:
-                continue
-            for p, t in m.items():
-                have = merged.get(p)
-                if have is None:
-                    if merged is base:
-                        merged = dict(base)
-                    merged[p] = t
-                elif have != t:
-                    clash = True
-        for p in parents & choice_places:
-            # node consumes p; acyclicity keeps node out of its parents' pasts
-            if p in merged:
-                clash = True
-            else:
-                if merged is base:
-                    merged = dict(base)
-                merged[p] = node
+        merged, clash = merge_choices(
+            [choices[parent] for parent in parents],
+            [(p, node) for p in parents if p in choice_places],
+        )
         choices[node] = merged
-        if clash:
+        if clash or not conflicted.isdisjoint(parents):
             conflicted.add(node)
-    base_pairs = frozenset(
-        frozenset(pair) for p in choice_places for pair in combinations(sorted(post[p]), 2)
-    )
     return NodeRelations(
         net=net,
         order=tuple(order),
-        conflict_base=base_pairs,
         choices=choices,
         self_conflicting=frozenset(conflicted),
     )
@@ -512,12 +540,7 @@ def maximal_configurations(
     if rel is None:
         rel = require_occurrence_net(net)
 
-    conflict_with: dict[str, set[str]] = {t: set() for t in net.transitions}
-    for pair in rel.conflict_base:
-        a, b = tuple(pair)
-        conflict_with[a].add(b)
-        conflict_with[b].add(a)
-
+    pre, post = net.preset, net.postset
     producers = {
         t: {next(iter(net.preset[p])) for p in net.preset[t] if net.preset[p]}
         for t in net.transitions
@@ -533,7 +556,7 @@ def maximal_configurations(
         # transitions that could extend the fired set, banned ones included
         addable = [
             t for t in sorted(net.transitions - fired)
-            if producers[t] <= fired and not conflict_with[t] & fired
+            if producers[t] <= fired and all(post[p].isdisjoint(fired) for p in pre[t])
         ]
         cands = [t for t in addable if t not in banned]
         if not cands:
@@ -543,7 +566,10 @@ def maximal_configurations(
         # a transition with no live rival (everyone sharing an input place
         # is banned already) belongs to every maximal configuration that
         # enables it, so include it without branching
-        free = [t for t in cands if not conflict_with[t] - banned]
+        free = [
+            t for t in cands
+            if all(r == t or r in banned for p in pre[t] for r in post[p])
+        ]
         if free:
             stack.append((fired | {free[0]}, banned))
             continue

@@ -1,41 +1,62 @@
-"""Unfolding a safe acyclic net into an occurrence net with a morphism.
+"""Unfolding an acyclic net into an occurrence net with a morphism.
 
-The construction is the usual possible-extensions loop: start with one
-condition per initially marked place, then repeatedly pick a transition of
-the carrier net and a concurrent set of conditions whose labels match its
-preset exactly; each new combination yields a fresh event plus fresh postset
-conditions.  Acyclic carriers give finite unfoldings, so no cutoff criterion
-is needed.
+The construction is the possible-extensions loop of Khomenko and Koutny
+("Towards an efficient algorithm for unfolding Petri nets", CONCUR 2001),
+in one pass: start with one condition per initially marked place, then
+take the carrier's transitions once each, in topological order.  By the
+time a transition t is taken, every condition labelled with a place of
+its preset exists, so t gets one event per co-set of conditions whose
+labels match its preset exactly, and each event gets fresh postset
+conditions.  Acyclic carriers give finite unfoldings, so no cutoff
+criterion is needed; ``EVENT_CAP`` bounds their exponential growth.
+
+Concurrency is read off choice maps, as in ``nets.compute_relations``:
+each node maps every choice condition in its causal past to its consumer
+there.  A condition is a choice when two carrier transitions consume its
+label, or two events of one transition consume it; both are known by the
+time its consumers are built.  Conditions are concurrent when their maps
+agree and none is a key in another's map.
 
 Node names are canonical content hashes: an event is named from its label
 and the sorted names of its preset conditions, a condition from its label
-and its producing event ("" for initial conditions).  Construction order
-therefore never leaks into the result.
+and its producing event ("" for initial conditions).  The digest is 8 hex
+characters, widened to 16 for the nodes of one label whose 8-character
+names collide.  Construction order therefore never leaks into the result.
 """
 
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import chain
+from types import MappingProxyType
 
-from .errors import NetStructureError
+from .errors import CapExceededError, NetStructureError
 from .nets import (
     Net,
     WorkflowNet,
-    compute_relations,
+    _topological_order,
     is_sound,
+    merge_choices,
     require_occurrence_net,
 )
 from .timed import OrchNet, PreOrchNet
 from .specs import LatencySpec, ValueFnSpec, GuardSpec
 from .attributes import Value, atom
 
+# The unfolding of k differing-postset choices in a row has 4(2^k - 1)
+# events: k = 14 fits, k = 15 is undecided.
+EVENT_CAP = 100_000
+
 
 @dataclass(frozen=True)
 class Morphism:
     """Maps unfolding nodes to carrier nodes, preserving kind and arcs."""
 
-    node_map: dict[str, str]
+    node_map: Mapping[str, str]
 
     def __getitem__(self, node: str) -> str:
         return self.node_map[node]
@@ -47,25 +68,22 @@ class UnfoldingResult:
     morphism: Morphism
 
 
-def _short_hash(text: str) -> str:
-    return hashlib.sha1(text.encode("utf-8")).hexdigest()[:8]
-
-
-def _event_name(label: str, preset_names: frozenset[str]) -> str:
-    return f"{label}~{_short_hash(label + '|' + ','.join(sorted(preset_names)))}"
-
-
-def _condition_name(label: str, producer: str) -> str:
-    return f"{label}~{_short_hash(label + '|' + producer)}"
-
-
 def unfold(carrier: Net | WorkflowNet, require_sound: bool = True) -> UnfoldingResult:
     """Unfold a carrier net.
 
     Workflow carriers are soundness-checked first (pass
     ``require_sound=False`` to skip, e.g. for diagnostic use).  A carrier
     that is already an occurrence net unfolds to an isomorphic copy.
+    Raises CapExceededError past ``EVENT_CAP`` events.
     """
+    # memoized: building a document and synthesizing from its carrier
+    # unfold the same net, one after the other.  Callers share the result,
+    # so its morphism is read-only.
+    return _unfold(carrier, require_sound)
+
+
+@lru_cache(maxsize=2)
+def _unfold(carrier: Net | WorkflowNet, require_sound: bool) -> UnfoldingResult:
     if isinstance(carrier, WorkflowNet):
         if require_sound:
             verdict = is_sound(carrier)
@@ -78,126 +96,146 @@ def unfold(carrier: Net | WorkflowNet, require_sound: bool = True) -> UnfoldingR
         if not net.is_acyclic():
             raise NetStructureError("carrier net must be acyclic")
 
-    # conditions: name -> (label, producer event name or "")
-    conditions: dict[str, tuple[str, str]] = {}
-    # events: name -> (label, preset condition names)
-    events: dict[str, tuple[str, frozenset[str]]] = {}
-    # concurrency bookkeeping: causal past (event names) per condition
-    past: dict[str, frozenset[str]] = {}
-    event_preset: dict[str, frozenset[str]] = {}
+    order = [t for t in _topological_order(net) if t in net.transitions]
+    cond_label, cond_producer, ev_label, ev_preset = _extend(net, order)
 
-    def register_condition(label: str, producer: str, producer_past: frozenset[str]) -> str:
-        name = _condition_name(label, producer)
-        if name in conditions:
-            if conditions[name] != (label, producer):
-                raise NetStructureError(f"hash collision on condition name {name!r}")
-            return name
-        conditions[name] = (label, producer)
-        past[name] = producer_past
-        return name
-
-    for p in sorted(net.initial_marking):
-        register_condition(p, "", frozenset())
-
-    def concurrent(c1: str, c2: str) -> bool:
-        """Conditions are concurrent iff causally unordered and conflict-free."""
-        if c1 == c2:
-            return False
-        if c1 in _cond_cone(c2) or c2 in _cond_cone(c1):
-            return False
-        for e1 in past[c1]:
-            for e2 in past[c2]:
-                if e1 != e2 and event_preset[e1] & event_preset[e2]:
-                    return False
-        return True
-
-    def _cond_cone(c: str) -> set[str]:
-        # conditions causally below or equal: via chain of producing events
-        seen: set[str] = {c}
-        frontier = [c]
-        while frontier:
-            cond = frontier.pop()
-            producer = conditions[cond][1]
-            if producer:
-                for pre_c in events[producer][1]:
-                    if pre_c not in seen:
-                        seen.add(pre_c)
-                        frontier.append(pre_c)
-        return seen
-
-    changed = True
-    while changed:
-        changed = False
-        by_label: dict[str, list[str]] = {}
-        for name, (label, _) in conditions.items():
-            by_label.setdefault(label, []).append(name)
-        for label_list in by_label.values():
-            label_list.sort()
-
-        for t in sorted(net.transitions):
-            pre_places = sorted(net.preset[t])
-            if any(p not in by_label for p in pre_places):
-                continue
-            for combo in _combinations(by_label, pre_places):
-                names = frozenset(combo)
-                if len(names) != len(pre_places):
-                    continue
-                ok = True
-                for i, c1 in enumerate(combo):
-                    for c2 in combo[i + 1 :]:
-                        if not concurrent(c1, c2):
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    continue
-                ename = _event_name(t, names)
-                if ename in events:
-                    if events[ename] != (t, names):
-                        raise NetStructureError(f"hash collision on event name {ename!r}")
-                    continue
-                events[ename] = (t, names)
-                event_preset[ename] = names
-                ev_past = frozenset().union(*(past[c] for c in names)) | {ename} if names else frozenset({ename})
-                for p in sorted(net.postset[t]):
-                    register_condition(p, ename, ev_past)
-                changed = True
-
-    flow: set[tuple[str, str]] = set()
-    for ename, (label, pre) in events.items():
-        for c in pre:
-            flow.add((c, ename))
-    for cname, (label, producer) in conditions.items():
-        if producer:
-            flow.add((producer, cname))
-
+    cond_names, ev_names = _names(net, order, cond_label, cond_producer, ev_label, ev_preset)
+    node_map = dict(zip(cond_names, cond_label))
+    node_map.update(zip(ev_names, ev_label))
+    if len(node_map) != len(cond_names) + len(ev_names):
+        raise NetStructureError("hash collision on unfolding node names")
     unfolding = Net(
-        places=frozenset(conditions),
-        transitions=frozenset(events),
-        flow=frozenset(flow),
-        initial_marking=frozenset(c for c, (_, prod) in conditions.items() if not prod),
+        places=frozenset(cond_names),
+        transitions=frozenset(ev_names),
+        flow=frozenset(
+            chain(
+                ((cond_names[c], ev_names[e]) for e, combo in enumerate(ev_preset) for c in combo),
+                ((ev_names[e], cond_names[c]) for c, e in enumerate(cond_producer) if e >= 0),
+            )
+        ),
+        initial_marking=frozenset(cond_names[c] for c, e in enumerate(cond_producer) if e < 0),
     )
-    node_map = {c: label for c, (label, _) in conditions.items()}
-    node_map.update({e: label for e, (label, _) in events.items()})
 
     require_occurrence_net(unfolding)
     _check_morphism(unfolding, net, node_map)
-    return UnfoldingResult(unfolding=unfolding, morphism=Morphism(node_map=node_map))
+    return UnfoldingResult(
+        unfolding=unfolding, morphism=Morphism(node_map=MappingProxyType(node_map))
+    )
 
 
-def _combinations(by_label: dict[str, list[str]], labels: list[str]):
-    """Cartesian product of condition candidates per preset place label."""
-    if not labels:
-        yield ()
-        return
-    head, rest = labels[0], labels[1:]
-    for choice in by_label[head]:
-        for tail in _combinations(by_label, rest):
-            yield (choice,) + tail
+def _extend(net: Net, order: list[str]):
+    """The one pass: conditions and events, numbered in creation order.
+
+    Returns each condition's label and producing event (-1 for an initial
+    condition), and each event's label and preset conditions.
+    """
+    pre, post = net.preset, net.postset
+    cond_label: list[str] = []
+    cond_producer: list[int] = []
+    cond_map: list[dict[int, int]] = []  # choice condition -> its consumer
+    by_place: dict[str, list[int]] = {}
+    ev_label: list[str] = []
+    ev_preset: list[tuple[int, ...]] = []
+
+    def add_condition(label: str, producer: int, choices: dict[int, int]) -> None:
+        by_place.setdefault(label, []).append(len(cond_label))
+        cond_label.append(label)
+        cond_producer.append(producer)
+        cond_map.append(choices)
+
+    for p in sorted(net.initial_marking):
+        add_condition(p, -1, {})
+    for t in order:
+        candidates = [by_place.get(p, ()) for p in sorted(pre[t])]
+        found = list(_cosets(candidates, cond_map, len(ev_label)))
+        # a condition is a choice when another transition consumes its
+        # label too, or when two events of t consume it; all of t's events
+        # exist from here on
+        uses = Counter(c for combo, _ in found for c in combo)
+        for combo, merged in found:
+            e = len(ev_label)
+            own = [(c, e) for c in combo if len(post[cond_label[c]]) > 1 or uses[c] > 1]
+            choices = merge_choices((merged,), own)[0]
+            ev_label.append(t)
+            ev_preset.append(combo)
+            for p in sorted(post[t]):
+                add_condition(p, e, choices)
+    return cond_label, cond_producer, ev_label, ev_preset
 
 
-def _check_morphism(unfolding: Net, carrier: Net, node_map: dict[str, str]) -> None:
+def _cosets(candidates, cond_map, events: int):
+    """Every choice of one condition per candidate list whose conditions
+    are pairwise concurrent, with the union of their choice maps.
+
+    ``events`` is the number of events built so far, for the cap.
+    """
+    found = events
+    stack: list[tuple[int, tuple[int, ...], dict[int, int]]] = [(0, (), {})]
+    while stack:
+        i, combo, union = stack.pop()
+        if i == len(candidates):
+            found += 1
+            if found > EVENT_CAP:
+                raise CapExceededError(f"unfolding exceeded the event cap {EVENT_CAP}")
+            yield combo, union
+            continue
+        for c in candidates[i]:
+            mine = cond_map[c]
+            if not combo:
+                stack.append((i + 1, (c,), mine))
+                continue
+            if c in union or any(x in mine for x in combo):
+                continue  # causally ordered
+            merged, clash = merge_choices((union, mine))
+            if not clash:
+                stack.append((i + 1, combo + (c,), merged))
+
+
+def _names(net: Net, order, cond_label, cond_producer, ev_label, ev_preset):
+    """Content-hash names for every condition and event.
+
+    The carrier's transitions are taken in topological order, each after
+    the producers of its preset places, so a node is named only once all
+    nodes its name depends on are, and once every node of its own label
+    exists: collisions are widened within the whole label.
+    """
+    cond_names: list[str | None] = [None] * len(cond_label)
+    ev_names: list[str | None] = [None] * len(ev_label)
+    conds_of: dict[str, list[int]] = {}
+    for c, label in enumerate(cond_label):
+        conds_of.setdefault(label, []).append(c)
+    evs_of: dict[str, list[int]] = {}
+    for e, label in enumerate(ev_label):
+        evs_of.setdefault(label, []).append(e)
+
+    def name_conditions(p: str) -> None:
+        ids = conds_of.get(p, ())
+        if ids and cond_names[ids[0]] is None:
+            keys = [ev_names[cond_producer[c]] if cond_producer[c] >= 0 else "" for c in ids]
+            for c, name in zip(ids, _label_names(p, keys)):
+                cond_names[c] = name
+
+    for t in order:
+        for p in net.preset[t]:
+            name_conditions(p)
+        ids = evs_of.get(t, ())
+        keys = [",".join(sorted(cond_names[c] for c in ev_preset[e])) for e in ids]
+        for e, name in zip(ids, _label_names(t, keys)):
+            ev_names[e] = name
+    for p in net.places:
+        name_conditions(p)
+    return cond_names, ev_names
+
+
+def _label_names(label: str, keys: list[str]) -> list[str]:
+    """``label~digest`` per key: 8 hex characters of the SHA-1 of
+    ``label|key``, or 16 where two keys share the 8-character digest."""
+    digests = [hashlib.sha1(f"{label}|{key}".encode("utf-8")).hexdigest() for key in keys]
+    short = Counter(d[:8] for d in digests)
+    return [f"{label}~{d[:8] if short[d[:8]] == 1 else d[:16]}" for d in digests]
+
+
+def _check_morphism(unfolding: Net, carrier: Net, node_map: Mapping[str, str]) -> None:
     """Morphism laws: kinds preserved; around each event, the map restricts
     to a bijection between preset/postset and the carrier transition's."""
     for node, image in node_map.items():

@@ -103,14 +103,11 @@ def _emit(rng, arcs, names, entry, exit_, budget, allow_diff, state) -> None:
         _emit(rng, arcs, names, m2, exit_, inner - left, allow_diff, state)
 
 
-def random_workflow(
-    rng: random.Random,
-    size: int,
-    allow_diff: bool = True,
-    force_diff: bool = False,
-    tagged: bool | None = None,
-    name: str = "gen",
-) -> GeneratedNet:
+def random_shape(
+    rng: random.Random, size: int, allow_diff: bool = True, force_diff: bool = False
+) -> tuple[WorkflowNet, dict]:
+    """The bare net of ``random_workflow``: sound by construction, but not
+    checked, which takes most of the time on nets of 40 or more transitions."""
     if force_diff and size < 4:
         raise ValueError("differing-postset choice blocks need at least 4 transitions")
     while True:
@@ -121,7 +118,18 @@ def random_workflow(
         if force_diff and not state["diff"]:
             continue
         break
-    wf = WorkflowNet.from_net(net_from_arcs(arcs))
+    return WorkflowNet.from_net(net_from_arcs(arcs)), state
+
+
+def random_workflow(
+    rng: random.Random,
+    size: int,
+    allow_diff: bool = True,
+    force_diff: bool = False,
+    tagged: bool | None = None,
+    name: str = "gen",
+) -> GeneratedNet:
+    wf, state = random_shape(rng, size, allow_diff, force_diff)
     verdict = is_sound(wf)
     if verdict.status != "sound":
         raise AssertionError(f"generator produced a non-sound net: {verdict.issues}")

@@ -69,6 +69,16 @@ def test_date_format_round_trip():
         assert format_date(parse_date(text)) == text
 
 
+def test_parse_date_is_memoized_but_failures_are_not():
+    assert parse_date("3/2") is parse_date("3/2")
+    messages = []
+    for _ in range(2):
+        with pytest.raises(EvaluationError) as caught:
+            parse_date("not-a-date")
+        messages.append(str(caught.value))
+    assert messages[0] == messages[1] == "bad number 'not-a-date': Invalid literal for Fraction: 'not-a-date'"
+
+
 def test_value_constructors_and_json_round_trip():
     v = tup(atom("svc"), num("3/2"), tup(num(1)))
     node = value_to_json(v)

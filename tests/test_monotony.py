@@ -27,6 +27,7 @@ from orchnet import (
     num,
     structural_check,
     synthesize_counterexample,
+    unfold,
     verify_counterexample,
 )
 
@@ -439,3 +440,26 @@ def test_conditional_all_ties_needs_equal_values_in_some_resolution_pair():
     # distinct deliveries per branch: the faster b run never matches a's values
     tagged = conditional_monotony_check(pre, tie_break="all", force_brute=True)
     assert tagged.outcome == "conditionally_monotonic"
+
+
+def test_synthesis_reuses_the_unfolding_and_its_validation(monkeypatch):
+    import orchnet.nets as nets
+    from orchnet import unfolding
+
+    unfolded = []
+    real = nets.compute_relations
+
+    def counting(net):
+        unfolded.append(net)
+        return real(net)
+
+    monkeypatch.setattr(nets, "compute_relations", counting)
+    unfolding._unfold.cache_clear()
+    nets._validated_relations.cache_clear()
+    gen = random_workflow(random.Random(5), 6, force_diff=True, name="reuse")
+    result = unfold(gen.workflow)
+    outcome = synthesize_counterexample(gen.workflow, gen.specs, 0)
+    assert outcome.verification.accepted
+    assert outcome.unfolding is result
+    assert unfolding._unfold.cache_info().misses == 1
+    assert unfolded.count(result.unfolding) == 1

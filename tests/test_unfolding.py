@@ -1,10 +1,14 @@
-"""Unfolding construction: morphism laws, completeness, canonical naming."""
+"""Unfolding construction: morphism laws, completeness, canonical naming,
+the event cap."""
 
+import json
 import re
+import time
 
 import pytest
 
 from orchnet import (
+    CapExceededError,
     CarrierSpecs,
     Net,
     NetStructureError,
@@ -19,7 +23,9 @@ from orchnet import (
     net_from_arcs,
     unfold,
 )
+from orchnet import unfolding as unfolding_module
 from orchnet.attributes import atom
+from orchnet.cli import main
 from orchnet.nets import compute_relations
 
 from .randnets import random_workflow
@@ -208,6 +214,88 @@ def test_cut_images_equal_reachable_markings():
             assert len(labels) == len(set(labels))
             images.add(frozenset(labels))
         assert images == _reachable_markings(wf.net)
+
+
+# ---------------------------------------------------------------------------
+# k differing-postset choices in a row: 4 (2^k - 1) events
+
+
+def choices_in_a_row(k: int) -> WorkflowNet:
+    arcs = {}
+    for i in range(k):
+        arcs[f"a{i}"] = ((f"q{i}",), (f"m{i}",))
+        arcs[f"b{i}"] = ((f"q{i}",), (f"n{i}",))
+        arcs[f"c{i}"] = ((f"m{i}",), (f"q{i + 1}",))
+        arcs[f"d{i}"] = ((f"n{i}",), (f"q{i + 1}",))
+    return WorkflowNet.from_net(net_from_arcs(arcs))
+
+
+def test_fourteen_choices_in_a_row_unfold_with_colliding_digests_widened():
+    wf = choices_in_a_row(14)
+    start = time.perf_counter()
+    result = unfold(wf)
+    elapsed = time.perf_counter() - start
+    unf = result.unfolding
+    assert len(unf.transitions) == 4 * (2**14 - 1)
+    print(f"unfolded 14 choices in a row in {elapsed:.2f} s")
+
+    # 8 hex characters, or 16 for the nodes of one label whose 8 collide
+    short: dict[tuple[str, str], int] = {}
+    wide = []
+    for node in unf.nodes:
+        label, digest = re.fullmatch(r"(.+)~([0-9a-f]{8}|[0-9a-f]{16})", node).groups()
+        assert label == result.morphism[node]
+        short[label, digest[:8]] = short.get((label, digest[:8]), 0) + 1
+        if len(digest) == 16:
+            wide.append((label, digest[:8]))
+    assert wide, "the 8-character digests of this unfolding collide"
+    assert all(short[key] > 1 for key in wide)
+    assert sum(count > 1 for count in short.values()) == len(set(wide))
+
+    # names are content hashes: a second construction gives the same net
+    unfolding_module._unfold.cache_clear()
+    again = unfold(choices_in_a_row(14))
+    assert again is not result
+    assert again.unfolding == unf and again.morphism == result.morphism
+
+
+def test_twenty_choices_in_a_row_stop_at_the_event_cap():
+    with pytest.raises(CapExceededError, match="event cap"):
+        unfold(choices_in_a_row(20))
+
+
+def _workflow_document(wf: WorkflowNet) -> dict:
+    net = wf.net
+    return {
+        "format_version": 1,
+        "kind": "workflow",
+        "omega_count": 1,
+        "flags": {"upward_closed": True},
+        "places": [{"id": p} for p in sorted(net.places)],
+        "transitions": [
+            {
+                "id": t,
+                "pre": sorted(net.preset[t]),
+                "post": sorted(net.postset[t]),
+                "latency": {"kind": "const", "value": "1"},
+            }
+            for t in sorted(net.transitions)
+        ],
+        "grids": {t: ["0", "1"] for t in sorted(net.transitions)},
+    }
+
+
+@pytest.mark.parametrize(
+    "argv", [("unfold",), ("validate",), ("counterexample", "--omega", "0")]
+)
+def test_cli_reports_the_event_cap_as_undecided(capsys, tmp_path, argv):
+    path = tmp_path / "choices20.net"
+    path.write_text(json.dumps(_workflow_document(choices_in_a_row(20))))
+    code = main([argv[0], str(path), *argv[1:]])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 3
+    assert report["error"]["kind"] == "cap"
+    assert str(unfolding_module.EVENT_CAP) in report["error"]["message"]
 
 
 # ---------------------------------------------------------------------------
