@@ -15,9 +15,9 @@ Entry points:
   outcome per distinct tie resolution.  Every decider and the CLI go
   through it; :func:`orchnet.timed.execute` /
   :func:`orchnet.timed.end_to_end` are the lex run alone.  The grid
-  sweeps race members on ``PreOrchNet.kernel`` instead, which gives the
-  same outcomes on integer dates, and replay only their witness pair
-  through it.
+  sweeps race members on ``PreOrchNet.kernel``, which feeds the same race
+  loop with integer dates read off the grid, and replay only their
+  witness pair through ``resolutions``.
 * :mod:`orchnet.monotony` has the deciders: the structural cluster
   condition, the global optimality condition, the brute-force grid
   oracle, counterexample synthesis, and conditional monotony.
@@ -74,7 +74,6 @@ from .timed import (
     FamilyAssignment,
     OrchNet,
     PreOrchNet,
-    Step,
     TimedRun,
     compare_families,
     end_to_end,
@@ -143,7 +142,6 @@ __all__ = [
     "OrchNet",
     "OrchnetError",
     "PreOrchNet",
-    "Step",
     "StructuralReport",
     "SynthesisError",
     "SynthesisOutcome",

@@ -262,8 +262,10 @@ def _sweep(
     budget of ``eval_cap`` evaluations.  A pair violates at an omega when
     ``violates(h, l)`` holds for some hi outcome h and lo outcome l, both
     ``KernelRun``s (with their value sets when ``values`` is set).  The
-    violating pair alone is raced again through ``resolutions`` for the
-    witness.
+    violating pair alone is instantiated and raced again through
+    ``resolutions`` for the witness.  Both races run the same loop, so
+    comparing them checks the kernel's grid-digit latencies against the
+    member's own specs.
     """
     grid = pre.grid_index
     memo: dict[tuple[int, int], tuple[KernelRun, ...]] = {}
@@ -285,7 +287,7 @@ def _sweep(
             values and outcome.values != run.values
         ):
             raise AssertionError(
-                f"race kernel disagrees with the race of member {member} at omega {omega}"
+                f"grid latencies disagree with the specs of member {member} at omega {omega}"
             )
         return outcome
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import combinations
 
 from .errors import CapExceededError, NetStructureError
 
@@ -152,15 +151,11 @@ class NodeRelations:
     occurrence net rules out: such a node's map names one of its rival
     consumers only.
 
-    Built on first use:
-
-    - ``conflict_base``: the pairs of distinct transitions that share a
-      preset place, O(k^2) for a place with k consumers.  Nothing in the
-      package reads it.
-    - ``below`` (the strict causal past of each node) and ``above``: O(N^2)
-      tables.  Only ``lt``, ``leq``, ``cone`` and ``relation`` read them,
-      for the synthesis cones in ``monotony._descend``; validation, the
-      race and date evaluation never build them.
+    Built on first use: ``below`` (the strict causal past of each node)
+    and ``above``, O(N^2) tables.  Only ``lt``, ``leq``, ``cone`` and
+    ``relation`` read them, for the synthesis cones in
+    ``monotony._descend``; validation, the race and date evaluation never
+    build them.
     """
 
     net: Net
@@ -171,16 +166,6 @@ class NodeRelations:
     @cached_property
     def position(self) -> dict[str, int]:
         return {n: i for i, n in enumerate(self.order)}
-
-    @cached_property
-    def conflict_base(self) -> frozenset[frozenset[str]]:
-        post = self.net.postset
-        return frozenset(
-            frozenset(pair)
-            for p in self.net.places
-            if len(post[p]) > 1
-            for pair in combinations(sorted(post[p]), 2)
-        )
 
     @cached_property
     def below(self) -> dict[str, frozenset[str]]:
@@ -223,10 +208,6 @@ class NodeRelations:
         if len(chosen) < len(mine):
             mine, chosen = chosen, mine
         return any(chosen.get(p, t) != t for p, t in mine.items())
-
-    def self_conflicts(self) -> frozenset[str]:
-        """Nodes x with x # x (two conflicting transitions in their past)."""
-        return self.self_conflicting
 
     def relation(self, x: str, y: str) -> str:
         """One of "eq", "lt", "gt", "conflict", "concurrent"."""
@@ -390,7 +371,7 @@ def validate_occurrence_net(net: Net) -> OccurrenceCheck:
         )
 
     if rel is not None:
-        for x in sorted(rel.self_conflicts()):
+        for x in sorted(rel.self_conflicting):
             diags.append(
                 Diagnostic(
                     condition="no_self_conflict",

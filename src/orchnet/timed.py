@@ -20,11 +20,10 @@ the run is flagged stalled, and the end-to-end latency is infinite.
 
 from __future__ import annotations
 
-from collections import Counter
 from copy import copy
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from heapq import heapify, heappop, heappush
 from math import lcm
 from typing import NamedTuple
@@ -82,19 +81,21 @@ class OrchNet:
         if not 0 <= omega < self.omega_count:
             raise EvaluationError(f"omega {omega} outside range(0, {self.omega_count})")
 
-    def inputs_of(self, t: str, values: dict[str, Value]) -> tuple[Value, ...]:
-        """Preset token values, ordered by sorted preset place id."""
-        return tuple(values[p] for p in sorted(self.net.preset[t]))
-
-    def transition_date(
-        self, t: str, omega: int, dates: dict[str, ExtendedDate], values: dict[str, Value]
-    ) -> tuple[ExtendedDate, Value]:
-        inputs = self.inputs_of(t, values)
+    def delay_of(self, t: str, omega: int, inputs: tuple[Value, ...]) -> tuple[ExtendedDate, Value]:
+        """The latency of ``t`` (infinite on a false guard) and its output
+        value, on its preset's token values in sorted place order.  The
+        value is evaluated first, then the guard, then the latency."""
         out_value = self.value_fn[t].evaluate(omega, inputs)
         guard = self.guard.get(t)
         if guard is not None and not guard.evaluate(inputs):
             return DATE_INF, out_value
-        delay = self.latency[t].evaluate(omega, inputs)
+        return self.latency[t].evaluate(omega, inputs), out_value
+
+    def transition_date(
+        self, t: str, omega: int, dates: dict[str, ExtendedDate], values: dict[str, Value]
+    ) -> tuple[ExtendedDate, Value]:
+        inputs = tuple(values[p] for p in sorted(self.net.preset[t]))
+        delay, out_value = self.delay_of(t, omega, inputs)
         base = date_max(dates[p] for p in self.net.preset[t])
         return base + delay, out_value
 
@@ -159,20 +160,12 @@ def latency_of_prefix(orch: OrchNet, omega: int, prefix: frozenset[str]) -> Exte
 
 
 @dataclass(frozen=True)
-class Step:
-    fired: str
-    date: ExtendedDate
-    candidates: tuple[tuple[str, ExtendedDate], ...]
-
-
-@dataclass(frozen=True)
 class TimedRun:
     omega: int
     occurring: frozenset[str]
     dates: dict[str, ExtendedDate]
     values: dict[str, Value]
     step_order: tuple[str, ...]
-    steps: tuple[Step, ...]
     tie_events: tuple[frozenset[str], ...]
     stalled: bool
 
@@ -181,91 +174,63 @@ class TimedRun:
         return frozenset(self.step_order)
 
 
-def _run_race(
-    orch: OrchNet,
-    omega: int,
-    choose,
-) -> list[TimedRun]:
-    """Race-policy execution core.
+def _timed_runs(orch: OrchNet, omega: int, branch: bool, cap: int) -> list[TimedRun]:
+    """The runs of ``orch`` at ``omega`` on the race loop, one per distinct
+    fired set (one alone without ``branch``).
 
-    ``choose(tied)`` maps the sorted ids of the minimal-date enabled
-    transitions to the list of transitions to branch on (one element for
-    deterministic modes).  Branches are explored depth first in that order;
-    a run is copied only where it branches.  Returns one TimedRun per
-    distinct occurring configuration, the first found standing for it.
+    A transition's value, guard and latency are evaluated when the race
+    first enables it, so an EvaluationError comes only from a transition
+    that could fire.  The loop's dates are exact: ints and Fractions, with
+    ``INFINITY`` for the infinite date.
     """
+    orch.check_omega(omega)
     net = orch.net
-    pre, post = net.preset, net.postset
-    dates = {p: orch.initial_date[p].value_at(omega) for p in net.minimal_places}
-    values = {p: orch.initial_value[p] for p in net.minimal_places}
-    marked = set(net.minimal_places)
-    # t -> (date, value), evaluated once, when t's whole preset is marked:
-    # each place has one producer, so the inputs never change afterwards
-    enabled = {
-        t: orch.transition_date(t, omega, dates, values)
-        for t in sorted(net.transitions)
-        if pre[t] <= marked
-    }
-    stack = [(([], marked, dates, values, enabled, [], []), None)]
-    runs: dict[frozenset[str], TimedRun] = {}
-    while stack:
-        state, t = stack.pop()
-        fired, marked, dates, values, enabled, steps, ties = state
-        while True:
-            if t is None:
-                finite = {u: d for u, (d, _) in enabled.items() if d.is_finite}
-                if not finite:
-                    break
-                best = min(finite.values())
-                tied = sorted(u for u, d in finite.items() if d == best)
-                if len(tied) > 1:
-                    ties.append(frozenset(tied))
-                t, *others = choose(tied)
-                # the other choices resume from copies, in depth-first order
-                stack.extend((tuple(map(copy, state)), u) for u in reversed(others))
-            candidates = tuple(sorted((u, d) for u, (d, _) in enabled.items()))
-            d, v = enabled.pop(t)
-            for p in pre[t]:
-                for rival in post[p]:
-                    enabled.pop(rival, None)
-            fired.append(t)
-            steps.append(Step(fired=t, date=d, candidates=candidates))
-            marked -= pre[t]
-            marked |= post[t]
-            for n in (t, *post[t]):
-                dates[n] = d
-                values[n] = v
-            for c in sorted({c for p in post[t] for c in post[p]}):
-                if pre[c] <= marked:
-                    enabled[c] = orch.transition_date(c, omega, dates, values)
-            t = None
-        key = frozenset(fired)
-        if key not in runs:
-            occ = configuration_of(net, key)
-            # only infinite-date transitions are left enabled here.  An enabled
-            # transition is in conflict with nothing fired, and a causally
-            # minimal unfired transition in conflict with nothing fired is
-            # enabled, so the configuration is maximal iff none is left.
-            runs[key] = TimedRun(
+    rn = _race_net(net)
+    names, sources = rn.names, rn.sources
+    initial = {p: orch.initial_date[p].value_at(omega) for p in net.minimal_places}
+    dates = [0] * len(names) + [_number(initial[p]) for p in rn.places]
+    values: list[Value | None] = [None] * len(names)
+    values += [orch.initial_value[p] for p in rn.places]
+
+    def evaluate(c: int):
+        if sources[c] is None:
+            rn.compile(c)
+        delay, values[c] = orch.delay_of(names[c], omega, tuple(values[s] for s in sources[c]))
+        return _number(delay)
+
+    runs = []
+    post = net.postset
+    latency = [None] * len(names)  # each given by ``evaluate`` when first enabled
+    for fired, stalled, dates, ties in _race(rn, latency, dates, evaluate, branch, cap, []):
+        # each fired transition's date and value, and its postset's
+        out_dates = dict(initial)
+        out_values = {p: orch.initial_value[p] for p in net.minimal_places}
+        for t in fired:
+            date, value = ExtendedDate(dates[t]), values[t]
+            for node in (names[t], *post[names[t]]):
+                out_dates[node] = date
+                out_values[node] = value
+        step_order = tuple(names[t] for t in fired)
+        runs.append(
+            TimedRun(
                 omega=omega,
-                occurring=occ,
-                dates={n: dates[n] for n in occ},
-                values={n: values[n] for n in occ},
-                step_order=tuple(fired),
-                steps=tuple(steps),
-                tie_events=tuple(ties),
-                stalled=bool(enabled),
+                occurring=configuration_of(net, frozenset(step_order)),
+                dates=out_dates,
+                values=out_values,
+                step_order=step_order,
+                tie_events=tuple(frozenset(names[u] for u in tie) for tie in ties),
+                stalled=stalled,
             )
-    return sorted(runs.values(), key=lambda r: tuple(sorted(r.occurring)))
+        )
+    return runs
 
 
 def execute(orch: OrchNet, omega: int, tie_break: str = "lex") -> TimedRun:
     """Run the race policy with the deterministic tie policy ("lex": of
     tied transitions, the smallest id fires first)."""
-    orch.check_omega(omega)
     if tie_break != "lex":
         raise EvaluationError(f"unknown tie_break {tie_break!r} (use resolutions for enumeration)")
-    (run,) = _run_race(orch, omega, lambda tied: [min(tied)])
+    (run,) = _timed_runs(orch, omega, False, 0)
     return run
 
 
@@ -307,17 +272,7 @@ def resolutions(
         return (end_to_end(orch, omega),)
     if tie != "all":
         raise NetStructureError(f"unknown tie_break {tie!r}")
-    orch.check_omega(omega)
-    branches = 0
-
-    def choose(tied: list[str]) -> list[str]:
-        nonlocal branches
-        branches += len(tied)
-        if branches > cap:
-            raise CapExceededError(f"tie enumeration exceeded cap {cap}")
-        return sorted(tied)
-
-    return tuple(summarize_run(orch, run) for run in _run_race(orch, omega, choose))
+    return tuple(summarize_run(orch, run) for run in _timed_runs(orch, omega, True, cap))
 
 
 def summarize_run(orch: OrchNet, run: TimedRun) -> EndToEnd:
@@ -659,13 +614,179 @@ def replace_class_latency(pre: PreOrchNet, cls: str, spec: LatencySpec) -> PreOr
 
 
 # ---------------------------------------------------------------------------
-# The race kernel: every member of a grid family, raced on integers
+# The race loop, which every race runs on, and the race kernel that feeds it
+# every member of a grid family on integer dates
+
+
+class _Infinity:
+    """The infinite date of the race loop: above every int and Fraction,
+    equal only to itself, and absorbing in addition."""
+
+    def __add__(self, other):
+        return self
+
+    __radd__ = __add__
+
+    def __lt__(self, other):
+        return False
+
+    def __gt__(self, other):
+        return other is not self
+
+
+INFINITY = _Infinity()
+
+
+def _number(d: ExtendedDate):
+    """A date as the race loop compares it: an int where it is integral."""
+    q = d.finite
+    if q is None:
+        return INFINITY
+    return q.numerator if q.denominator == 1 else q
+
+
+class _RaceNet:
+    """What every race on one net reads, compiled once per net
+    (``_race_net``): the whole net up front for a grid family's kernel,
+    each transition when it is first enabled for a single run.
+
+    Transitions are numbered in sorted-id order, so a lower number wins a
+    lex tie.  A *date source* is a transition's number, or ``n + m`` for
+    the m-th minimal place in sorted-id order.  ``compile(i)`` fills in
+    transition i's ``sources`` (those of its preset, in sorted place
+    order), ``feeds`` (its postset's consumers, each with the number of
+    places it gets) and ``rivals`` (the other consumers of its preset).
+    """
+
+    def __init__(self, net: Net) -> None:
+        self.net = net
+        self.names = names = tuple(sorted(net.transitions))
+        n = len(names)
+        self.number = dict(zip(names, range(n)))
+        self.places = places = tuple(sorted(net.minimal_places))
+        self.place_source = dict(zip(places, range(n, n + len(places))))
+        # per transition: its preset places that are not marked at the start
+        self.missing = tuple(len(net.preset[t] - net.minimal_places) for t in names)
+        self.starts = tuple(i for i, k in enumerate(self.missing) if not k)
+        self.sources: list[tuple[int, ...] | None] = [None] * n
+        self.feeds: list[tuple[tuple[int, int], ...] | None] = [None] * n
+        self.rivals: list[tuple[int, ...] | None] = [None] * n
+
+    def compile(self, i: int) -> None:
+        pre, post, number = self.net.preset, self.net.postset, self.number
+        t = self.names[i]
+        self.sources[i] = tuple(
+            number[next(iter(pre[p]))] if pre[p] else self.place_source[p] for p in sorted(pre[t])
+        )
+        fed: dict[int, int] = {}
+        for p in post[t]:
+            for c in post[p]:
+                fed[number[c]] = fed.get(number[c], 0) + 1
+        self.feeds[i] = tuple(sorted(fed.items()))
+        self.rivals[i] = tuple(sorted({number[c] for p in pre[t] for c in post[p]} - {i}))
+
+
+_race_net = lru_cache(maxsize=4)(_RaceNet)
+
+
+def _race(
+    rn: _RaceNet, latency: list, dates: list, evaluate, branch: bool, cap: int, ties: list | None
+) -> list[tuple[list[int], bool, list, list | None]]:
+    """The race policy on one member: the (fired, stalled, dates, ties) of
+    each distinct fired set, in the order of ``resolutions``.
+
+    ``dates`` holds the date of every date source.  ``latency[c]`` is the
+    latency of transition c, or None until the race first enables c and
+    ``evaluate(c)`` gives it; c is compiled in ``rn`` once its latency is
+    known.  Enabled transitions wait on a heap keyed by (date, number): the
+    event list of a discrete-event simulation.  A new date is its preset's
+    date plus a latency, so firing dates never decrease.  The rivals of a
+    fired transition are marked dead and dropped when they reach the top,
+    and a run stops when the top is ``INFINITY``.
+
+    Without ``branch``, the least number among the tied fires.  With it,
+    each tied transition fires in turn, depth first, each step charging
+    its tied count to ``cap``; a run is copied only where it branches, and
+    the first run found stands for its fired set.  The tied numbers of
+    every step with more than one are appended to ``ties``, unless it is
+    None.
+    """
+    sources, feeds, rivals = rn.sources, rn.feeds, rn.rivals
+    heap = []
+    for c in rn.starts:
+        lat = latency[c]
+        if lat is None:
+            lat = latency[c] = evaluate(c)
+        heap.append((lat + max(map(dates.__getitem__, sources[c]), default=0), c))
+    heapify(heap)
+    collect = branch or ties is not None
+    runs: dict[frozenset[int], tuple] = {}
+    branches = 0
+    stack = [((ties, [], list(rn.missing), bytearray(len(latency)), dates, heap), None)]
+    while stack:
+        state, entry = stack.pop()
+        ties, fired, missing, dead, dates, heap = state
+        date_at = dates.__getitem__
+        while True:
+            if entry is None:
+                while heap and dead[heap[0][1]]:
+                    heappop(heap)
+                if not heap or heap[0][0] is INFINITY:
+                    break
+                if not collect:
+                    entry = heappop(heap)
+                else:
+                    best = heap[0][0]
+                    tied = []
+                    while heap and heap[0][0] == best:
+                        u = heappop(heap)[1]
+                        if not dead[u]:
+                            tied.append(u)
+                    for u in tied:
+                        heappush(heap, (best, u))
+                    if ties is not None and len(tied) > 1:
+                        ties.append(tied)
+                    entry = (best, tied[0])
+                    if branch:
+                        branches += len(tied)
+                        if branches > cap:
+                            raise CapExceededError(f"tie enumeration exceeded cap {cap}")
+                        # the other choices resume from copies, in depth-first order
+                        copies = ((tuple(map(copy, state)), (best, u)) for u in reversed(tied[1:]))
+                        stack.extend(copies)
+            d, t = entry
+            dead[t] = 1
+            fired.append(t)
+            dates[t] = d
+            for r in rivals[t]:
+                dead[r] = 1
+            for c, k in feeds[t]:
+                left = missing[c] = missing[c] - k
+                if not left and not dead[c]:
+                    lat = latency[c]
+                    if lat is None:
+                        lat = latency[c] = evaluate(c)
+                    heappush(heap, (lat + max(map(date_at, sources[c])), c))
+            entry = None
+        # only infinite-date transitions are left enabled here.  An enabled
+        # transition is in conflict with nothing fired, and a causally
+        # minimal unfired transition in conflict with nothing fired is
+        # enabled, so the configuration is maximal iff none is left.
+        runs.setdefault(frozenset(fired), (fired, bool(heap), dates, ties))
+    if len(runs) == 1:
+        return list(runs.values())
+    names, net = rn.names, rn.net
+
+    def occurring(run):
+        return tuple(sorted(configuration_of(net, frozenset(names[t] for t in run[0]))))
+
+    return sorted(runs.values(), key=occurring)
 
 
 class KernelRun(NamedTuple):
     """One tie resolution of one member, raced on a RaceKernel."""
 
-    latency: int  # scaled end-to-end latency; the table's ``inf`` when infinite
+    latency: int | _Infinity  # scaled end-to-end latency
     fired: tuple[int, ...]  # transition numbers, in firing order
     stalled: bool
     values: frozenset[Value] | None  # of the maximal fired transitions, when asked for
@@ -675,73 +796,50 @@ class KernelRun(NamedTuple):
 class _OmegaTable:
     """What every member's race at one omega shares.
 
-    A date is an int: the exact date times ``scale``, the least common
-    denominator of every date the family can take at this omega.  ``inf``
-    is larger than any finite date a run can reach, and a sum that passes
-    it is cut back to it.
+    A finite date is an int: the exact date times ``scale``, the least
+    common denominator of every date the family can take at this omega.
     """
 
     scale: int
-    inf: int
-    latency: list[int]  # per transition, with the gridded entries left to fill
+    latency: list[int | _Infinity | None]  # per transition; None where it raises
     latency_slots: tuple[tuple[int, int], ...]  # (transition, coordinate)
-    dates: list[int]  # per date source: 0 for transitions, initial dates after
+    dates: list[int | _Infinity]  # per date source: 0 for transitions, initial dates after
     date_slots: tuple[tuple[int, int], ...]  # (date source, coordinate)
-    digits: tuple[tuple[int, ...], ...]  # per coordinate: its scaled grid values
+    digits: tuple[tuple[int | _Infinity, ...], ...]  # per coordinate: its scaled grid values
     errors: dict[int, EvaluationError]  # raised when a race enables the transition
-    initial_error: EvaluationError | None  # raised when a race starts
     values: list[Value | None]  # per transition
+
+    def fail(self, c: int):
+        raise self.errors[c]
 
 
 class RaceKernel:
     """The race policy on every member of one PreOrchNet's grid.
 
-    Members differ only in their latency constants, so the net is compiled
-    once.  Transitions are numbered in sorted-id order, so a lower number
-    wins a lex tie.  A *date source* is a transition's number, or ``n + m``
-    for the m-th minimal place in sorted-id order; each transition keeps
-    the sources of its preset, in sorted place order, its postset
-    consumers and its rivals (the other consumers of its preset).
-
-    Each place of an occurrence net has one producer, so a transition's
-    value, guard outcome and ``expr`` latency do not depend on the member.
-    They are evaluated once per omega, in ``OrchNet.transition_date``'s
-    order (value, guard, latency), and an EvaluationError is kept and
-    raised when a race first enables that transition, as the race of the
-    member's OrchNet would raise it.
-
-    Enabled transitions wait on a heap keyed by (date, number): the event
-    list of a discrete-event simulation.  A new date is its preset's date
-    plus a latency, so firing dates never decrease.  The rivals of a fired
-    transition are marked dead and dropped when they reach the top.
+    Members differ only in their latency constants.  Each place of an
+    occurrence net has one producer, so a transition's value, guard outcome
+    and ``expr`` latency do not depend on the member either.  They are
+    evaluated once per omega, through ``OrchNet.delay_of`` on ``orch``, the
+    member whose gridded latencies and initial dates are 0, and a member's
+    race fills in its grid digits.  An EvaluationError is kept and raised
+    when a race first enables that transition, as the race of the member's
+    OrchNet would raise it.
     """
 
     def __init__(self, pre: PreOrchNet) -> None:
+        zero = const_latency(DATE_ZERO)
+        latency = {c: zero if c in pre.class_grid else pre.class_spec[c] for c in pre.classes}
         # checks the family as instantiating a member would
         self.orch = pre.assemble(
-            {t: pre.class_spec[c] for c, ts in pre.classes.items() for t in ts}, pre.initial_date
+            {t: latency[c] for c, ts in pre.classes.items() for t in ts},
+            {p: zero if p in pre.place_grid else spec for p, spec in pre.initial_date.items()},
         )
-        net = pre.net
-        self.pre = pre
         self.grid = grid = pre.grid_index
-        self.transitions = names = tuple(sorted(net.transitions))
-        n = len(names)
-        number = {t: i for i, t in enumerate(names)}
-        source = {p: n + m for m, p in enumerate(grid.place_ids)}
-        for t in names:
-            for p in net.postset[t]:
-                source[p] = number[t]
-        self.sources = tuple(tuple(source[p] for p in sorted(net.preset[t])) for t in names)
-        self.missing = [sum(1 for p in net.preset[t] if net.preset[p]) for t in names]
-        self.starts = tuple(i for i in range(n) if not self.missing[i])
-        feeds, rivals = [], []
-        for t in names:
-            fed = Counter(number[c] for p in net.postset[t] for c in net.postset[p])
-            feeds.append(tuple(sorted(fed.items())))
-            rival = {number[c] for p in net.preset[t] for c in net.postset[p]} - {number[t]}
-            rivals.append(tuple(sorted(rival)))
-        self.feeds, self.rivals = tuple(feeds), tuple(rivals)
-        self.after = tuple(frozenset(c for c, _ in fed) for fed in feeds)
+        self.race_net = rn = _race_net(pre.net)
+        for i in range(len(rn.names)):
+            rn.compile(i)
+        self.transitions = rn.names
+        self.after = tuple(frozenset(c for c, _ in fed) for fed in rn.feeds)
         coordinate = {c: k for k, c in enumerate(grid.class_ids)}
         self.class_coordinate = {t: coordinate[c] for c, ts in pre.classes.items() for t in ts}
         self.radices = tuple(len(ds) for ds in grid.digits)
@@ -754,93 +852,60 @@ class RaceKernel:
         return tab
 
     def _compile(self, omega: int) -> _OmegaTable:
-        pre, grid, names = self.pre, self.grid, self.transitions
-        n = len(names)
+        orch, grid, rn = self.orch, self.grid, self.race_net
+        n, ncls = len(rn.names), len(grid.class_ids)
         gridded = [ds[0] is not None for ds in grid.digits]
-        number = {t: i for i, t in enumerate(names)}
+        # raised here, so when a race at this omega starts
+        initial = {p: orch.initial_date[p].value_at(omega) for p in orch.net.minimal_places}
         values: list[Value | None] = [None] * n
-        values += [self.orch.initial_value[p] for p in grid.place_ids]
-        delays: list[ExtendedDate | None] = [DATE_ZERO] * n  # None: read off the grid
+        values += [orch.initial_value[p] for p in rn.places]
+        delays = [DATE_ZERO] * n
+        slots = []
         errors: dict[int, EvaluationError] = {}
-        for t in self.orch.relations.order:
-            i = number.get(t)
+        for t in orch.relations.order:
+            i = rn.number.get(t)
             if i is None:
                 continue
-            inputs = tuple(values[s] for s in self.sources[i])
+            inputs = tuple(values[s] for s in rn.sources[i])
             if None in inputs:
                 continue  # a producer raises first, so t is never enabled
-            k = self.class_coordinate[t]
             try:
-                value = pre.value_fn[t].evaluate(omega, inputs)
-                guard = pre.guard.get(t)
-                if guard is not None and not guard.evaluate(inputs):
-                    delay = DATE_INF
-                elif gridded[k]:
-                    delay = None
-                else:
-                    delay = pre.class_spec[grid.class_ids[k]].evaluate(omega, inputs)
+                delays[i], values[i] = orch.delay_of(t, omega, inputs)
             except EvaluationError as exc:
                 errors[i] = exc
                 continue
-            values[i], delays[i] = value, delay
-        initial: list[ExtendedDate] = [DATE_ZERO] * len(grid.place_ids)
-        initial_error = None
-        place_number = {p: m for m, p in enumerate(grid.place_ids)}
-        for p in pre.net.minimal_places:  # the order in which a race reads them
-            m = place_number[p]
-            if gridded[len(grid.class_ids) + m] or initial_error is not None:
-                continue
-            try:
-                initial[m] = pre.initial_date[p].value_at(omega)
-            except EvaluationError as exc:
-                initial_error = exc
+            k = self.class_coordinate[t]
+            if gridded[k] and delays[i].is_finite:  # not stalled by its guard
+                slots.append((i, k))
 
         exact = [d for ds in grid.digits if ds[0] is not None for d in ds]
-        exact += [d for d in delays if d is not None] + initial
+        exact += delays + list(initial.values())
         scale = lcm(*(d.finite.denominator for d in exact if d.is_finite))
 
-        def scaled(d: ExtendedDate) -> int | None:  # None stands for infinity
+        def scaled(d: ExtendedDate) -> int | _Infinity:
             q = d.finite
-            return None if q is None else q.numerator * (scale // q.denominator)
-
-        def top(xs) -> int:
-            return max((x for x in xs if x is not None), default=0)
-
-        grid_dates = [[scaled(d) for d in ds] if on else [] for ds, on in zip(grid.digits, gridded)]
-        ncls = len(grid.class_ids)
-        # a finite date is a start plus at most one latency per transition
-        bound = top([scaled(d) for d in initial] + [x for ds in grid_dates[ncls:] for x in ds])
-        for t, d in zip(names, delays):
-            bound += top(grid_dates[self.class_coordinate[t]] if d is None else [scaled(d)])
-        inf = bound + 1
-
-        def fixed(d: ExtendedDate) -> int:
-            s = scaled(d)
-            return inf if s is None else s
+            return INFINITY if q is None else q.numerator * (scale // q.denominator)
 
         return _OmegaTable(
             scale=scale,
-            inf=inf,
-            latency=[0 if d is None else fixed(d) for d in delays],
-            latency_slots=tuple(
-                (i, self.class_coordinate[t])
-                for i, (t, d) in enumerate(zip(names, delays))
-                if d is None
-            ),
-            dates=[0] * n + [fixed(d) for d in initial],
+            latency=[None if i in errors else scaled(d) for i, d in enumerate(delays)],
+            latency_slots=tuple(slots),
+            dates=[0] * n + [scaled(initial[p]) for p in rn.places],
             date_slots=tuple(
-                (n + m, ncls + m) for m in range(len(grid.place_ids)) if gridded[ncls + m]
+                (n + m, ncls + m) for m in range(len(rn.places)) if gridded[ncls + m]
             ),
-            digits=tuple(tuple(inf if x is None else x for x in ds) for ds in grid_dates),
+            digits=tuple(
+                tuple(map(scaled, ds)) if on else () for ds, on in zip(grid.digits, gridded)
+            ),
             errors=errors,
-            initial_error=initial_error,
             values=values[:n],
         )
 
-    def date(self, omega: int, scaled: int) -> ExtendedDate:
+    def date(self, omega: int, scaled: int | _Infinity) -> ExtendedDate:
         """The exact date of a scaled date at ``omega``."""
-        tab = self._table(omega)
-        return DATE_INF if scaled >= tab.inf else ExtendedDate(Fraction(scaled, tab.scale))
+        if scaled is INFINITY:
+            return DATE_INF
+        return ExtendedDate(Fraction(scaled, self._table(omega).scale))
 
     def race(
         self, idx: int, omega: int, tie: str = "lex", cap: int = 10_000, values: bool = False
@@ -848,13 +913,11 @@ class RaceKernel:
         """The outcomes of grid member ``idx`` at ``omega``, as
         ``resolutions(pre.instantiate(grid.member(idx)), omega, tie, cap)``
         gives them: one per distinct fired set, in the same order, with the
-        same cap on tie branches."""
+        same cap on tie branches.  Ties are not recorded."""
         if tie not in ("lex", "all"):
             raise NetStructureError(f"unknown tie_break {tie!r}")
         self.orch.check_omega(omega)
         tab = self._table(omega)
-        if tab.initial_error is not None:
-            raise tab.initial_error
         strides, radices, digits = self.grid.strides, self.radices, tab.digits
         latency = tab.latency.copy()
         for i, k in tab.latency_slots:
@@ -864,80 +927,13 @@ class RaceKernel:
             dates[s] = digits[k][idx // strides[k] % radices[k]]
         start = max(dates[len(latency) :], default=0)
         runs = []
-        for fired, stalled, last in self._race(tab, latency, dates, tie == "all", cap):
-            total = tab.inf if stalled else max(last, start)
+        for fired, stalled, dates, _ in _race(
+            self.race_net, latency, dates, tab.fail, tie == "all", cap, None
+        ):
+            total = INFINITY if stalled else max(dates[fired[-1]] if fired else 0, start)
             maximal = None
             if values:
                 done = set(fired)
                 maximal = frozenset(tab.values[t] for t in fired if done.isdisjoint(self.after[t]))
             runs.append(KernelRun(total, tuple(fired), stalled, maximal))
         return tuple(runs)
-
-    def _race(self, tab: _OmegaTable, latency: list[int], dates: list[int], branch: bool, cap: int):
-        """The (fired, stalled, last firing date) of each distinct fired
-        set, in the order of ``resolutions``.  Branching follows
-        ``_run_race``: depth first, in tie order, with each step charging
-        its tied count to ``cap``."""
-        inf, errors = tab.inf, tab.errors
-        sources, feeds, rivals = self.sources, self.feeds, self.rivals
-        heap = []
-        for c in self.starts:
-            if c in errors:
-                raise errors[c]
-            d = latency[c] + max(map(dates.__getitem__, sources[c]), default=0)
-            heap.append((d if d < inf else inf, c))
-        heapify(heap)
-        runs: dict[frozenset[int], tuple[list[int], bool, int]] = {}
-        branches = 0
-        stack = [(([], self.missing.copy(), bytearray(len(latency)), dates, heap), None)]
-        while stack:
-            state, entry = stack.pop()
-            fired, missing, dead, dates, heap = state
-            date_at = dates.__getitem__
-            while True:
-                if entry is None:
-                    while heap and dead[heap[0][1]]:
-                        heappop(heap)
-                    if not heap or heap[0][0] >= inf:
-                        break
-                    if not branch:
-                        entry = heappop(heap)
-                    else:
-                        best = heap[0][0]
-                        tied = []
-                        while heap and heap[0][0] == best:
-                            u = heappop(heap)[1]
-                            if not dead[u]:
-                                tied.append(u)
-                        branches += len(tied)
-                        if branches > cap:
-                            raise CapExceededError(f"tie enumeration exceeded cap {cap}")
-                        for u in tied:
-                            heappush(heap, (best, u))
-                        entry = (best, tied[0])
-                        for u in reversed(tied[1:]):
-                            copies = (fired.copy(), missing.copy(), dead.copy(), dates.copy(), heap.copy())
-                            stack.append((copies, (best, u)))
-                d, t = entry
-                dead[t] = 1
-                fired.append(t)
-                dates[t] = d
-                for r in rivals[t]:
-                    dead[r] = 1
-                for c, k in feeds[t]:
-                    left = missing[c] = missing[c] - k
-                    if not left and not dead[c]:
-                        if c in errors:
-                            raise errors[c]
-                        e = latency[c] + max(map(date_at, sources[c]))
-                        heappush(heap, (e if e < inf else inf, c))
-                entry = None
-            runs.setdefault(frozenset(fired), (fired, bool(heap), dates[fired[-1]] if fired else 0))
-        if len(runs) == 1:
-            return list(runs.values())
-        names, net = self.transitions, self.pre.net
-
-        def occurring(run):
-            return tuple(sorted(configuration_of(net, frozenset(names[t] for t in run[0]))))
-
-        return sorted(runs.values(), key=occurring)

@@ -1,12 +1,12 @@
-"""Differential test: the race kernel against the race of an instantiated member.
+"""Differential test: the race kernel against the recursive race explorer.
 
 ``PreOrchNet.kernel`` races grid members on integer dates without building
-their ``OrchNet``.  The reference is ``resolutions(pre.instantiate(member),
-omega, tie, cap)``, the race that ``simulate`` and the witnesses still run.
-For every member compared, under lex and under ``all``, each outcome must
-agree on latency, firing order, stalled flag and value set, in the same
-order; where the reference raises, the kernel must raise the same error
-type with the same message.
+their ``OrchNet``.  The reference is the explorer of
+``tests/race_reference.py`` on ``pre.instantiate(member)``.  For every
+member compared, under lex and under ``all``, each outcome must agree on
+latency, firing order, stalled flag and value set, in the same order;
+where the reference raises, the kernel must raise the same error type
+with the same message.
 """
 
 import random
@@ -38,17 +38,22 @@ from orchnet.specs import (
     LatencySpec,
     ValueFnSpec,
 )
-from orchnet.timed import resolutions
 
+from .race_reference import ref_execute, ref_execute_all, ref_latency, ref_run_values
 from .randnets import random_workflow, standard_corpus
+
+
+def ref_resolutions(orch, omega, tie, cap):
+    return (ref_execute(orch, omega),) if tie == "lex" else ref_execute_all(orch, omega, cap)
 
 
 def assert_kernel_matches(pre: PreOrchNet, idx: int, omega: int, tie: str, cap: int = 10_000) -> Counter:
     """Compare one member at one omega; count what was compared."""
     kernel = pre.kernel
     member = pre.grid_index.member(idx)
+    orch = pre.instantiate(member)
     try:
-        expected = resolutions(pre.instantiate(member), omega, tie, cap)
+        expected = ref_resolutions(orch, omega, tie, cap)
     except (EvaluationError, CapExceededError) as exc:
         with pytest.raises(type(exc)) as raised:
             kernel.race(idx, omega, tie, cap, values=True)
@@ -58,7 +63,9 @@ def assert_kernel_matches(pre: PreOrchNet, idx: int, omega: int, tie: str, cap: 
     assert [
         (kernel.date(omega, r.latency), tuple(kernel.transitions[t] for t in r.fired), r.stalled, r.values)
         for r in got
-    ] == [(r.latency, r.run.step_order, r.run.stalled, r.values) for r in expected], (member, omega, tie)
+    ] == [
+        (ref_latency(r), r.step_order, r.stalled, ref_run_values(orch, r)) for r in expected
+    ], (member, omega, tie)
     assert [r.latency for r in kernel.race(idx, omega, tie, cap)] == [r.latency for r in got]
     seen = Counter(members=1, runs=len(got))
     seen.update("stalled" if r.stalled else "complete" for r in got)

@@ -463,3 +463,28 @@ def test_synthesis_reuses_the_unfolding_and_its_validation(monkeypatch):
     assert outcome.unfolding is result
     assert unfolding._unfold.cache_info().misses == 1
     assert unfolded.count(result.unfolding) == 1
+
+
+def test_synthesis_reuses_the_family_that_build_induced(monkeypatch):
+    from orchnet import unfolding
+
+    # what document.build does with a workflow: unfold it, induce its family
+    gen = random_workflow(random.Random(5), 6, force_diff=True, name="family")
+    carrier, specs = gen.workflow, gen.specs
+    result = unfold(carrier)
+    pre = unfolding.induced_preorchnet(result, carrier.net, specs)
+    assert unfolding.induced_preorchnet(result, carrier.net, specs) is pre
+    made = []
+    real = unfolding.PreOrchNet
+
+    def counting(**fields):
+        made.append(fields["net"])
+        return real(**fields)
+
+    monkeypatch.setattr(unfolding, "PreOrchNet", counting)
+    outcome = synthesize_counterexample(carrier, specs, 0)
+    assert outcome.verification.accepted
+    assert outcome.lo.net is pre.net and not made
+    # other specs objects, even equal ones, induce a family of their own
+    other = unfolding.induced_preorchnet(result, carrier.net, replace(specs))
+    assert other is not pre and made == [pre.net]

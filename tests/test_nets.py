@@ -122,14 +122,6 @@ def test_require_occurrence_net_computes_relations_once(monkeypatch):
     nets._validated_relations.cache_clear()
 
 
-def test_conflict_base_is_built_on_first_use():
-    net = _overlap_cluster()
-    rel = compute_relations(net)
-    assert maximal_configurations(net, rel)
-    assert "conflict_base" not in rel.__dict__
-    assert frozenset({"a", "b"}) in rel.conflict_base
-
-
 # ---------------------------------------------------------------------------
 # Relations
 

@@ -1,12 +1,12 @@
-"""Differential test: the iterative race loop against the recursive explorer.
+"""Differential test: the race loop against the recursive explorer.
 
-The reference below is the race as it was before the loop: one recursive
-call per step that copies every dict and re-evaluates every enabled
-transition, ``stalled`` decided after the run by looking for an unfired
-transition in conflict with nothing that occurred, and maximal transitions
-found through the ``above`` table.  Every ``TimedRun`` field (occurring,
-dates, values, step order, steps with their candidates, tie events,
-stalled) must come out equal, under lex and under ``all``.
+The reference (``tests/race_reference.py``) is the race as it was before
+the loop: one recursive call per step that copies every dict and
+re-evaluates every enabled transition, ``stalled`` decided after the run
+by looking for an unfired transition in conflict with nothing that
+occurred, and maximal transitions found through the ``above`` table.
+Every ``TimedRun`` field (occurring, dates, values, step order, tie
+events, stalled) must come out equal, under lex and under ``all``.
 """
 
 import random
@@ -28,110 +28,9 @@ from orchnet import (
     net_from_arcs,
     summarize_run,
 )
-from orchnet.nets import configuration_of
-from orchnet.timed import Step, TimedRun
 
+from .race_reference import ref_execute, ref_execute_all, ref_run_values
 from .randnets import GRID, standard_corpus
-
-# ---------------------------------------------------------------------------
-# Reference implementation
-
-
-def ref_run_race(orch, omega, choose):
-    net = orch.net
-
-    init_dates = {p: orch.initial_date[p].value_at(omega) for p in net.minimal_places}
-    init_values = {p: orch.initial_value[p] for p in net.minimal_places}
-
-    runs = {}
-
-    def finish(fired, dates, values, steps, ties):
-        occ = configuration_of(net, frozenset(fired))
-        stalled = ref_has_open_future(orch, frozenset(fired))
-        key = frozenset(fired)
-        if key not in runs:
-            runs[key] = TimedRun(
-                omega=omega,
-                occurring=occ,
-                dates={n: dates[n] for n in occ},
-                values={n: values[n] for n in occ},
-                step_order=tuple(fired),
-                steps=tuple(steps),
-                tie_events=tuple(ties),
-                stalled=stalled,
-            )
-
-    def explore(fired, marked, dates, values, steps, ties):
-        candidates = []
-        fired_set = set(fired)
-        for t in sorted(net.transitions - fired_set):
-            if not net.preset[t] <= marked:
-                continue
-            d, v = orch.transition_date(t, omega, dates, values)
-            candidates.append((t, d, v))
-        finite = [(t, d, v) for (t, d, v) in candidates if d.is_finite]
-        if not finite:
-            finish(fired, dict(dates), dict(values), steps, ties)
-            return
-        best = min(d for _, d, _ in finite)
-        tied = [(t, d, v) for (t, d, v) in finite if d == best]
-        tied_names = frozenset(t for t, _, _ in tied)
-        new_ties = ties + [tied_names] if len(tied) > 1 else ties
-        step_candidates = tuple((t, d) for t, d, _ in candidates)
-        for t in choose([t for t, _, _ in tied]):
-            d, v = next((d, v) for (tt, d, v) in tied if tt == t)
-            next_dates = dict(dates)
-            next_values = dict(values)
-            next_dates[t] = d
-            next_values[t] = v
-            for p in net.postset[t]:
-                next_dates[p] = d
-                next_values[p] = v
-            explore(
-                fired + [t],
-                (marked - net.preset[t]) | net.postset[t],
-                next_dates,
-                next_values,
-                steps + [Step(fired=t, date=d, candidates=step_candidates)],
-                new_ties,
-            )
-
-    explore([], set(net.minimal_places), dict(init_dates), dict(init_values), [], [])
-    return sorted(runs.values(), key=lambda r: tuple(sorted(r.occurring)))
-
-
-def ref_has_open_future(orch, fired):
-    net, rel = orch.net, orch.relations
-    occ = configuration_of(net, fired)
-    for t in sorted(net.transitions - fired):
-        if all(not rel.in_conflict(t, n) for n in occ):
-            return True
-    return False
-
-
-def ref_execute(orch, omega):
-    orch.check_omega(omega)
-    (run,) = ref_run_race(orch, omega, lambda tied: [min(tied)])
-    return run
-
-
-def ref_execute_all(orch, omega, cap=10_000):
-    orch.check_omega(omega)
-    branches = 0
-
-    def choose(tied):
-        nonlocal branches
-        branches += len(tied)
-        if branches > cap:
-            raise CapExceededError(f"tie enumeration exceeded cap {cap}")
-        return sorted(tied)
-
-    return tuple(ref_run_race(orch, omega, choose))
-
-
-def ref_run_values(orch, run):
-    ts = run.occurring & orch.net.transitions
-    return frozenset(run.values[t] for t in ts if not (orch.relations.above[t] & ts))
 
 
 def assert_same_races(orch, omega, cap=10_000) -> Counter:

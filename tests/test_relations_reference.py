@@ -272,10 +272,9 @@ def assert_same_relations(net, rng) -> Counter:
 
     rel, ref = compute_relations(net), ref_compute_relations(net)
     assert list(rel.order) == ref.order
-    assert rel.conflict_base == ref.conflict_base
-    assert rel.self_conflicts() == ref.self_conflicts()
+    assert rel.self_conflicting == ref.self_conflicts()
     assert rel.below == ref.below and rel.above == ref.above
-    plain = sorted(net.nodes - rel.self_conflicts())
+    plain = sorted(net.nodes - rel.self_conflicting)
     for x in plain:
         for y in plain:
             assert rel.relation(x, y) == ref.relation(x, y), (x, y)

@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 from dataclasses import replace
 
 import pytest
@@ -40,6 +41,7 @@ from orchnet import (
 )
 from orchnet.specs import LatencyExpr
 
+from .race_reference import assert_locally_optimal
 from .randnets import random_workflow
 
 
@@ -98,17 +100,11 @@ def test_omega_out_of_range_is_an_evaluation_error():
 # Race policy: the fired transition always has a minimal finite date
 
 
-def _assert_locally_optimal(run):
-    for step in run.steps:
-        finite = [d for _, d in step.candidates if d.is_finite]
-        assert step.date == min(finite)
-
-
 def test_race_fires_minimal_dates_on_corpus():
     for name in ("branch-race", "overlap-cluster", "channel-grab"):
         orch = _corpus_member(name)
         for omega in range(orch.omega_count):
-            _assert_locally_optimal(execute(orch, omega))
+            assert_locally_optimal(orch, execute(orch, omega))
 
 
 def test_race_fires_minimal_dates_on_generated_nets():
@@ -117,7 +113,7 @@ def test_race_fires_minimal_dates_on_generated_nets():
         gen = random_workflow(rng, size=2 + k % 4, name=f"r{k}")
         orch = gen.unfolded_pre().baseline()
         run = execute(orch, 0)
-        _assert_locally_optimal(run)
+        assert_locally_optimal(orch, run)
         assert not run.stalled
 
 
@@ -521,7 +517,9 @@ def _occurrence_document(transitions):
 
 def _build_and_race(transitions):
     orch = build(loads(json.dumps(_occurrence_document(transitions)))).pre.baseline()
+    start = time.perf_counter()
     result = summarize_run(orch, execute(orch, 0))
+    print(f"raced {len(transitions)} transitions in {time.perf_counter() - start:.2f} s")
     # the O(N^2) causal-past tables stay unbuilt
     assert not {"below", "above"} & orch.relations.__dict__.keys()
     return result
