@@ -16,8 +16,11 @@ Entry points:
   through it; :func:`orchnet.timed.execute` /
   :func:`orchnet.timed.end_to_end` are the lex run alone.  The grid
   sweeps race members on ``PreOrchNet.kernel``, which feeds the same race
-  loop with integer dates read off the grid, and replay only their
-  witness pair through ``resolutions``.
+  loop the same exact dates with each member's grid values filled in, and
+  replay only their witness pair through ``resolutions``.
+* :func:`orchnet.timed.eval_dates` gives the dates and values of a
+  causally closed, conflict-free prefix by the max-plus rule, without a
+  race.
 * :mod:`orchnet.monotony` has the deciders: the structural cluster
   condition, the global optimality condition, the brute-force grid
   oracle, counterexample synthesis, and conditional monotony.
@@ -86,7 +89,6 @@ from .timed import (
     resolutions,
     run_values,
     summarize_run,
-    values_of_configuration,
 )
 from .unfolding import CarrierSpecs, UnfoldingResult, induced_preorchnet, unfold
 from .monotony import (
@@ -196,6 +198,5 @@ __all__ = [
     "tup",
     "unfold",
     "validate_occurrence_net",
-    "values_of_configuration",
     "verify_counterexample",
 ]

@@ -43,6 +43,7 @@ from .errors import DocumentError, EvaluationError, NetStructureError
 from .nets import Net, WorkflowNet, net_from_arcs, require_occurrence_net
 from .specs import (
     GuardSpec,
+    LatencyExpr,
     LatencySpec,
     ValueFnSpec,
     const_latency,
@@ -178,6 +179,11 @@ def _parse_places(node: object, omega_count: int, problems: list[str]) -> tuple[
             initial_date = latency_from_json(
                 raw["initial_date"], omega_count, f"{path}.initial_date", problems
             )
+            if initial_date is not None and initial_date.kind == "expr":
+                problems.append(
+                    f"{path}.initial_date.kind: an initial date cannot be an expression "
+                    "(it has no inputs)"
+                )
         initial_value = None
         if "initial_value" in raw:
             initial_value = value_from_json(
@@ -229,6 +235,8 @@ def _parse_transitions(
             latency = latency_from_json(raw["latency"], omega_count, f"{path}.latency", problems)
             if latency is None:
                 latency = const_latency(0)
+            elif latency.kind == "expr":
+                _check_inputs(latency.expr, len(arcs["pre"]), f"{path}.latency.expr", problems)
 
         latency_class = raw.get("latency_class")
         if latency_class is not None and not isinstance(latency_class, str):
@@ -275,6 +283,13 @@ def _parse_transitions(
 def _check_selects(spec: ValueFnSpec, arity: int, path: str, problems: list[str]) -> None:
     if spec.kind == "select" and spec.index >= arity:
         problems.append(f"{path}: select {spec.index} out of range for {arity} inputs")
+
+
+def _check_inputs(expr: LatencyExpr, arity: int, path: str, problems: list[str]) -> None:
+    if expr.op == "input" and expr.index >= arity:
+        problems.append(f"{path}.index: input {expr.index} out of range for {arity} inputs")
+    for i, arg in enumerate(expr.args):
+        _check_inputs(arg, arity, f"{path}.args[{i}]", problems)
 
 
 def _parse_grid(node: object, path: str, problems: list[str]) -> dict[str, tuple[ExtendedDate, ...]]:

@@ -33,6 +33,7 @@ from .nets import (
     WorkflowNet,
     clusters,
     maximal_configurations,
+    maximal_transitions,
     require_occurrence_net,
 )
 from .specs import LatencySpec
@@ -43,10 +44,11 @@ from .timed import (
     KernelRun,
     OrchNet,
     PreOrchNet,
+    _date,
     compare_families,
+    eval_dates,
     latency_of_prefix,
     resolutions,
-    values_of_configuration,
 )
 from .unfolding import CarrierSpecs, UnfoldingResult, induced_preorchnet, unfold
 
@@ -137,7 +139,7 @@ def check_global_condition(
     """
     occurring_latency = max(r.latency for r in resolutions(orch, omega, tie_break))
     try:
-        configs = maximal_configurations(orch.net, orch.relations, cap=config_cap)
+        configs = maximal_configurations(orch.net, cap=config_cap)
     except CapExceededError as exc:
         return GlobalConditionReport(
             status="undecided",
@@ -283,7 +285,7 @@ def _sweep(
     def replay(idx: int, omega: int, pos: int, run: KernelRun) -> EndToEnd:
         member = grid.member(idx)
         outcome = resolutions(pre.instantiate(member), omega, tie_break)[pos]
-        if outcome.latency != pre.kernel.date(omega, run.latency) or (
+        if outcome.latency != _date(run.latency) or (
             values and outcome.values != run.values
         ):
             raise AssertionError(
@@ -462,7 +464,7 @@ def synthesize_counterexample(
                     continue
                 r1, r2, cone_k = resolved
                 outcome = _attempt(
-                    pre, unf, net, rel, phi, base, group_of, group_members,
+                    pre, unf, net, phi, base, group_of, group_members,
                     r1, r2, cone_k, omega_star, tie_break, result, failures,
                 )
                 if outcome is not None:
@@ -575,7 +577,6 @@ def _attempt(
     pre: PreOrchNet,
     unf: Net,
     carrier: Net,
-    rel,
     phi,
     base: dict[str, ExtendedDate],
     group_of: dict[str, str],
@@ -604,18 +605,7 @@ def _attempt(
     lo_lat: dict[str, ExtendedDate] = dict(base)
 
     # dates over the forced prefix K under the finite baseline
-    k_dates: dict[str, ExtendedDate] = {}
-    for node in sorted(cone_k, key=rel.position.__getitem__):
-        if node in unf.places:
-            producers = unf.preset[node] & cone_k
-            if producers:
-                (producer,) = tuple(producers)
-                k_dates[node] = k_dates[producer]
-            else:
-                k_dates[node] = pre.initial_date[node].value_at(omega_star)
-        else:
-            base_date = date_max(k_dates[p] for p in unf.preset[node])
-            k_dates[node] = base_date + lo_lat[node]
+    k_dates = eval_dates(_materialize(pre, lo_lat, omega_star), omega_star, cone_k).dates
     n_star = date_max(k_dates.values())
 
     def raise_group(event: str, floor: ExtendedDate) -> bool:
@@ -680,7 +670,7 @@ def _attempt(
         # finite alternative maximal configuration under lo
         alternative = None
         alt_latency = None
-        for config in maximal_configurations(unf, rel):
+        for config in maximal_configurations(unf):
             lat_cfg = latency_of_prefix(lo, omega_star, config)
             if lat_cfg.is_finite:
                 alternative = config
@@ -769,11 +759,12 @@ def check_distinct_values(orch: OrchNet, config_cap: int = 100_000) -> DistinctV
     Value sets are latency-independent (values flow through value functions
     only), so this property holds for every member of a grid family or none.
     """
-    configs = maximal_configurations(orch.net, orch.relations, cap=config_cap)
+    configs = maximal_configurations(orch.net, cap=config_cap)
     for omega in range(orch.omega_count):
         seen: dict[frozenset[Value], frozenset[str]] = {}
         for config in configs:
-            values = values_of_configuration(orch, omega, config)
+            delivered = eval_dates(orch, omega, config).values
+            values = frozenset(delivered[t] for t in maximal_transitions(orch.net, config))
             if values in seen:
                 ordered = tuple(sorted(values, key=value_sort_key))
                 return DistinctValuesReport(

@@ -457,30 +457,30 @@ def clusters(net: Net) -> tuple[Cluster, ...]:
 # Configurations
 
 
-def is_causally_closed(net: Net, rel: NodeRelations, nodes: frozenset[str]) -> bool:
+def is_causally_closed(net: Net, nodes: frozenset[str]) -> bool:
     # closure under preset is closure under its transitive closure, the past
     return all(net.preset[n] <= nodes for n in nodes)
 
 
-def is_conflict_free(rel: NodeRelations, nodes: frozenset[str]) -> bool:
+def is_conflict_free(net: Net, nodes: frozenset[str]) -> bool:
     """No place has two consumers in ``nodes``.  Pairs in the causal past
     are covered too, since a configuration is causally closed."""
     consumed: set[str] = set()
-    for t in nodes & rel.net.transitions:
-        pre = rel.net.preset[t]
+    for t in nodes & net.transitions:
+        pre = net.preset[t]
         if not consumed.isdisjoint(pre):
             return False
         consumed |= pre
     return True
 
 
-def is_configuration(net: Net, rel: NodeRelations, nodes: frozenset[str]) -> bool:
+def is_configuration(net: Net, nodes: frozenset[str]) -> bool:
     """Causally closed, conflict free, and maximal nodes are places."""
     if not nodes <= net.nodes:
         return False
-    if not is_causally_closed(net, rel, nodes):
+    if not is_causally_closed(net, nodes):
         return False
-    if not is_conflict_free(rel, nodes):
+    if not is_conflict_free(net, nodes):
         return False
     for t in nodes & net.transitions:
         if not net.postset[t] <= nodes:
@@ -506,20 +506,16 @@ def maximal_transitions(net: Net, nodes: frozenset[str]) -> frozenset[str]:
     return frozenset(t for t in ts if not any(net.postset[p] & ts for p in net.postset[t]))
 
 
-def maximal_configurations(
-    net: Net,
-    rel: NodeRelations | None = None,
-    cap: int = 100_000,
-) -> tuple[frozenset[str], ...]:
-    """All maximal configurations, as node sets, in deterministic order.
+def maximal_configurations(net: Net, cap: int = 100_000) -> tuple[frozenset[str], ...]:
+    """All maximal configurations of the occurrence net ``net``, as node
+    sets, in deterministic order.
 
     Explores include/exclude branches over enabled transitions; every leaf is
     checked for maximality directly, so over-approximating branches cannot
     leak non-maximal results.  Raises CapExceededError if the search visits
     more than ``cap`` branch points.
     """
-    if rel is None:
-        rel = require_occurrence_net(net)
+    require_occurrence_net(net)  # memoized per net
 
     pre, post = net.preset, net.postset
     producers = {

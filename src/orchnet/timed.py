@@ -25,7 +25,6 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from heapq import heapify, heappop, heappush
-from math import lcm
 from typing import NamedTuple
 
 from .attributes import DATE_INF, DATE_ZERO, ExtendedDate, Value, atom, date_max
@@ -91,14 +90,6 @@ class OrchNet:
             return DATE_INF, out_value
         return self.latency[t].evaluate(omega, inputs), out_value
 
-    def transition_date(
-        self, t: str, omega: int, dates: dict[str, ExtendedDate], values: dict[str, Value]
-    ) -> tuple[ExtendedDate, Value]:
-        inputs = tuple(values[p] for p in sorted(self.net.preset[t]))
-        delay, out_value = self.delay_of(t, omega, inputs)
-        base = date_max(dates[p] for p in self.net.preset[t])
-        return base + delay, out_value
-
 
 @dataclass(frozen=True)
 class PrefixEvaluation:
@@ -109,45 +100,42 @@ class PrefixEvaluation:
 def eval_dates(orch: OrchNet, omega: int, prefix: frozenset[str]) -> PrefixEvaluation:
     """Evaluate dates and values over a causally closed, conflict-free prefix.
 
-    Pure structural evaluation: minimal places take their initial dates,
-    other places copy their producer, transitions take max of preset dates
-    plus latency (infinite on a false guard).
+    Pure structural evaluation, in topological order: minimal places take
+    their initial dates, other places copy their producer, transitions take
+    max of preset dates plus ``OrchNet.delay_of`` (infinite on a false
+    guard).  This is the one evaluator of a prefix's dates.
     """
     orch.check_omega(omega)
     net, rel = orch.net, orch.relations
     if not prefix <= net.nodes:
         raise NetStructureError(f"prefix contains unknown nodes: {sorted(prefix - net.nodes)}")
     ordered = sorted(prefix, key=rel.position.__getitem__)
-    if not is_causally_closed(net, rel, prefix):
+    if not is_causally_closed(net, prefix):
         # a node is cut off when a preset node is outside or cut off itself
         cut: set[str] = set()
         for n in ordered:
             if any(m not in prefix or m in cut for m in net.preset[n]):
                 cut.add(n)
         raise NetStructureError(f"prefix is not causally closed at {sorted(cut)}")
-    if not is_conflict_free(rel, prefix):
+    if not is_conflict_free(net, prefix):
         raise NetStructureError("prefix is not conflict-free")
 
+    # the prefix is causally closed, so every producer and preset is in it
     dates: dict[str, ExtendedDate] = {}
     values: dict[str, Value] = {}
     for node in ordered:
+        pre = net.preset[node]
         if node in net.places:
-            producers = net.preset[node] & prefix
-            if producers:
-                (producer,) = tuple(producers)
-                dates[node] = dates[producer]
-                values[node] = values[producer]
+            if pre:
+                (producer,) = pre
+                dates[node], values[node] = dates[producer], values[producer]
             else:
-                if node not in orch.initial_date:
-                    raise NetStructureError(f"place {node!r} has no initial date in this prefix")
                 dates[node] = orch.initial_date[node].value_at(omega)
                 values[node] = orch.initial_value[node]
         else:
-            if not net.preset[node] <= prefix:
-                raise NetStructureError(f"prefix cuts the preset of transition {node!r}")
-            d, v = orch.transition_date(node, omega, dates, values)
-            dates[node] = d
-            values[node] = v
+            places = sorted(pre)
+            delay, values[node] = orch.delay_of(node, omega, tuple(values[p] for p in places))
+            dates[node] = date_max(dates[p] for p in places) + delay
     return PrefixEvaluation(dates=dates, values=values)
 
 
@@ -187,8 +175,8 @@ def _timed_runs(orch: OrchNet, omega: int, branch: bool, cap: int) -> list[Timed
     net = orch.net
     rn = _race_net(net)
     names, sources = rn.names, rn.sources
-    initial = {p: orch.initial_date[p].value_at(omega) for p in net.minimal_places}
-    dates = [0] * len(names) + [_number(initial[p]) for p in rn.places]
+    initial = {p: orch.initial_date[p].value_at(omega) for p in rn.places}
+    dates = [0] * len(names) + [_number(d) for d in initial.values()]
     values: list[Value | None] = [None] * len(names)
     values += [orch.initial_value[p] for p in rn.places]
 
@@ -206,7 +194,7 @@ def _timed_runs(orch: OrchNet, omega: int, branch: bool, cap: int) -> list[Timed
         out_dates = dict(initial)
         out_values = {p: orch.initial_value[p] for p in net.minimal_places}
         for t in fired:
-            date, value = ExtendedDate(dates[t]), values[t]
+            date, value = _date(dates[t]), values[t]
             for node in (names[t], *post[names[t]]):
                 out_dates[node] = date
                 out_values[node] = value
@@ -225,11 +213,10 @@ def _timed_runs(orch: OrchNet, omega: int, branch: bool, cap: int) -> list[Timed
     return runs
 
 
-def execute(orch: OrchNet, omega: int, tie_break: str = "lex") -> TimedRun:
+def execute(orch: OrchNet, omega: int) -> TimedRun:
     """Run the race policy with the deterministic tie policy ("lex": of
-    tied transitions, the smallest id fires first)."""
-    if tie_break != "lex":
-        raise EvaluationError(f"unknown tie_break {tie_break!r} (use resolutions for enumeration)")
+    tied transitions, the smallest id fires first); ``resolutions`` gives
+    every tie resolution."""
     (run,) = _timed_runs(orch, omega, False, 0)
     return run
 
@@ -246,15 +233,14 @@ class EndToEnd:
     run: TimedRun
 
 
-def end_to_end(orch: OrchNet, omega: int, tie_break: str = "lex") -> EndToEnd:
+def end_to_end(orch: OrchNet, omega: int) -> EndToEnd:
     """End-to-end latency and the value set of the occurring configuration.
 
     A stalled run (every remaining enabled transition has an infinite date)
     reports infinite latency; the value set always comes from the maximal
     transitions that actually occurred.
     """
-    run = execute(orch, omega, tie_break)
-    return summarize_run(orch, run)
+    return summarize_run(orch, execute(orch, omega))
 
 
 def resolutions(
@@ -286,13 +272,6 @@ def summarize_run(orch: OrchNet, run: TimedRun) -> EndToEnd:
 def run_values(orch: OrchNet, run: TimedRun) -> frozenset[Value]:
     maxts = maximal_transitions(orch.net, run.occurring)
     return frozenset(run.values[t] for t in maxts)
-
-
-def values_of_configuration(orch: OrchNet, omega: int, config: frozenset[str]) -> frozenset[Value]:
-    """Value set of an arbitrary configuration (used on maximal configurations)."""
-    ev = eval_dates(orch, omega, config)
-    maxts = maximal_transitions(orch.net, config)
-    return frozenset(ev.values[t] for t in maxts)
 
 
 # ---------------------------------------------------------------------------
@@ -615,7 +594,7 @@ def replace_class_latency(pre: PreOrchNet, cls: str, spec: LatencySpec) -> PreOr
 
 # ---------------------------------------------------------------------------
 # The race loop, which every race runs on, and the race kernel that feeds it
-# every member of a grid family on integer dates
+# every member of a grid family
 
 
 class _Infinity:
@@ -638,11 +617,18 @@ INFINITY = _Infinity()
 
 
 def _number(d: ExtendedDate):
-    """A date as the race loop compares it: an int where it is integral."""
+    """A date as the race loop compares it: an int where it is integral, a
+    Fraction otherwise, ``INFINITY`` when infinite."""
     q = d.finite
     if q is None:
         return INFINITY
     return q.numerator if q.denominator == 1 else q
+
+
+def _date(x) -> ExtendedDate:
+    """The date that the race-loop number ``x`` stands for (the inverse of
+    ``_number``)."""
+    return DATE_INF if x is INFINITY else ExtendedDate(x)
 
 
 class _RaceNet:
@@ -786,7 +772,7 @@ def _race(
 class KernelRun(NamedTuple):
     """One tie resolution of one member, raced on a RaceKernel."""
 
-    latency: int | _Infinity  # scaled end-to-end latency
+    latency: int | Fraction | _Infinity  # end-to-end latency, as ``_number`` gives it
     fired: tuple[int, ...]  # transition numbers, in firing order
     stalled: bool
     values: frozenset[Value] | None  # of the maximal fired transitions, when asked for
@@ -794,18 +780,14 @@ class KernelRun(NamedTuple):
 
 @dataclass(frozen=True)
 class _OmegaTable:
-    """What every member's race at one omega shares.
+    """What every member's race at one omega shares; its dates are as
+    ``_number`` gives them."""
 
-    A finite date is an int: the exact date times ``scale``, the least
-    common denominator of every date the family can take at this omega.
-    """
-
-    scale: int
-    latency: list[int | _Infinity | None]  # per transition; None where it raises
+    latency: list[int | Fraction | _Infinity | None]  # per transition; None where it raises
     latency_slots: tuple[tuple[int, int], ...]  # (transition, coordinate)
-    dates: list[int | _Infinity]  # per date source: 0 for transitions, initial dates after
+    dates: list[int | Fraction | _Infinity]  # per date source: transitions 0, then initial dates
     date_slots: tuple[tuple[int, int], ...]  # (date source, coordinate)
-    digits: tuple[tuple[int | _Infinity, ...], ...]  # per coordinate: its scaled grid values
+    digits: tuple[tuple[int | Fraction | _Infinity, ...], ...]  # per coordinate: its grid values
     errors: dict[int, EvaluationError]  # raised when a race enables the transition
     values: list[Value | None]  # per transition
 
@@ -856,7 +838,7 @@ class RaceKernel:
         n, ncls = len(rn.names), len(grid.class_ids)
         gridded = [ds[0] is not None for ds in grid.digits]
         # raised here, so when a race at this omega starts
-        initial = {p: orch.initial_date[p].value_at(omega) for p in orch.net.minimal_places}
+        initial = [_number(orch.initial_date[p].value_at(omega)) for p in rn.places]
         values: list[Value | None] = [None] * n
         values += [orch.initial_value[p] for p in rn.places]
         delays = [DATE_ZERO] * n
@@ -878,34 +860,19 @@ class RaceKernel:
             if gridded[k] and delays[i].is_finite:  # not stalled by its guard
                 slots.append((i, k))
 
-        exact = [d for ds in grid.digits if ds[0] is not None for d in ds]
-        exact += delays + list(initial.values())
-        scale = lcm(*(d.finite.denominator for d in exact if d.is_finite))
-
-        def scaled(d: ExtendedDate) -> int | _Infinity:
-            q = d.finite
-            return INFINITY if q is None else q.numerator * (scale // q.denominator)
-
         return _OmegaTable(
-            scale=scale,
-            latency=[None if i in errors else scaled(d) for i, d in enumerate(delays)],
+            latency=[None if i in errors else _number(d) for i, d in enumerate(delays)],
             latency_slots=tuple(slots),
-            dates=[0] * n + [scaled(initial[p]) for p in rn.places],
+            dates=[0] * n + initial,
             date_slots=tuple(
                 (n + m, ncls + m) for m in range(len(rn.places)) if gridded[ncls + m]
             ),
             digits=tuple(
-                tuple(map(scaled, ds)) if on else () for ds, on in zip(grid.digits, gridded)
+                tuple(map(_number, ds)) if on else () for ds, on in zip(grid.digits, gridded)
             ),
             errors=errors,
             values=values[:n],
         )
-
-    def date(self, omega: int, scaled: int | _Infinity) -> ExtendedDate:
-        """The exact date of a scaled date at ``omega``."""
-        if scaled is INFINITY:
-            return DATE_INF
-        return ExtendedDate(Fraction(scaled, self._table(omega).scale))
 
     def race(
         self, idx: int, omega: int, tie: str = "lex", cap: int = 10_000, values: bool = False

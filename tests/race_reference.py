@@ -3,20 +3,32 @@
 compared against.
 
 One recursive call per step copies every dict and re-evaluates every
-enabled transition through ``OrchNet.transition_date``; ``stalled`` is
+enabled transition through ``transition_date``; ``stalled`` is
 decided after the run by looking for an unfired transition in conflict
 with nothing that occurred, and maximal transitions are found through the
 ``above`` table.  Dropping the per-step candidate record from the runs it
 returns is the only change to it.  ``ref_latency`` and
 ``assert_locally_optimal`` are checks built on the same slow path.
+``transition_date`` dates one transition from its preset's dates and
+values; ``tests/test_relations_reference.py`` builds its reference of
+``eval_dates`` on it too.
 """
 
 from __future__ import annotations
 
-from orchnet.attributes import DATE_INF, DATE_ZERO
+from orchnet.attributes import DATE_INF, DATE_ZERO, date_max
 from orchnet.errors import CapExceededError
 from orchnet.nets import configuration_of
 from orchnet.timed import TimedRun
+
+
+def transition_date(orch, t, omega, dates, values):
+    """The date and value of ``t`` once its preset is dated: the latest
+    preset date plus its latency (infinite on a false guard)."""
+    inputs = tuple(values[p] for p in sorted(orch.net.preset[t]))
+    delay, out_value = orch.delay_of(t, omega, inputs)
+    base = date_max(dates[p] for p in orch.net.preset[t])
+    return base + delay, out_value
 
 
 def ref_run_race(orch, omega, choose):
@@ -48,7 +60,7 @@ def ref_run_race(orch, omega, choose):
         for t in sorted(net.transitions - fired_set):
             if not net.preset[t] <= marked:
                 continue
-            d, v = orch.transition_date(t, omega, dates, values)
+            d, v = transition_date(orch, t, omega, dates, values)
             candidates.append((t, d, v))
         finite = [(t, d, v) for (t, d, v) in candidates if d.is_finite]
         if not finite:
@@ -129,7 +141,7 @@ def assert_locally_optimal(orch, run) -> int:
     finite date is left.  Returns the number of steps checked.
 
     Every enabled transition's date is recomputed from scratch, through
-    ``OrchNet.transition_date``, so this costs O(N) per step.
+    ``transition_date``, so this costs O(N) per step.
     """
     net, omega = orch.net, run.omega
     dates = {p: orch.initial_date[p].value_at(omega) for p in net.minimal_places}
@@ -138,7 +150,7 @@ def assert_locally_optimal(orch, run) -> int:
 
     def finite_enabled():
         enabled = (t for t in sorted(net.transitions) if net.preset[t] <= marked)
-        dated = {t: orch.transition_date(t, omega, dates, values) for t in enabled}
+        dated = {t: transition_date(orch, t, omega, dates, values) for t in enabled}
         return {t: dv for t, dv in dated.items() if dv[0].is_finite}
 
     for t in run.step_order:

@@ -33,7 +33,6 @@ from orchnet import (
     verify_counterexample,
 )
 from orchnet.cli import main as cli_main
-from orchnet.nets import compute_relations
 
 from .race_reference import assert_locally_optimal
 from .randnets import random_workflow, standard_corpus
@@ -237,7 +236,6 @@ def test_08_semantics_invariant_suite():
         result = unfold(gen.workflow)
         unf = result.unfolding
         phi = result.morphism
-        rel = compute_relations(unf)
         carrier = gen.workflow.net
 
         # morphism laws: kind preservation and local pre/post bijections
@@ -258,7 +256,7 @@ def test_08_semantics_invariant_suite():
             for mask in range(1 << len(events)):
                 fired = frozenset(e for i, e in enumerate(events) if mask >> i & 1)
                 nodes = configuration_of(unf, fired)
-                if nodes & unf.transitions != fired or not is_configuration(unf, rel, nodes):
+                if nodes & unf.transitions != fired or not is_configuration(unf, nodes):
                     continue
                 consumed = frozenset().union(*(unf.preset[e] for e in fired)) if fired else frozenset()
                 produced = frozenset().union(*(unf.postset[e] for e in fired)) if fired else frozenset()
@@ -282,7 +280,7 @@ def test_08_semantics_invariant_suite():
             cases["date_fixpoint"] += 1
 
             # per-configuration latency is monotone in every single latency
-            for config in maximal_configurations(orch.net, orch.relations, cap=64):
+            for config in maximal_configurations(orch.net, cap=64):
                 t = rng.choice(sorted(orch.net.transitions))
                 bumped = orch.latency[t].value_at(0) + date_of(1)
                 raised = OrchNet(

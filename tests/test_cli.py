@@ -69,6 +69,39 @@ def test_validate_unsound_workflow(capsys, tmp_path):
     assert any(i["kind"] == "cannot_complete" for i in report["issues"])
 
 
+@pytest.mark.parametrize(
+    "field, spec, problem",
+    [
+        (
+            "latency",
+            {"kind": "expr", "expr": {"op": "input", "index": 3}},
+            "transitions[0].latency.expr.index: input 3 out of range for 1 inputs",
+        ),
+        (
+            "initial_date",
+            {"kind": "expr", "expr": {"op": "const", "value": "1"}},
+            "places[0].initial_date.kind: an initial date cannot be an expression (it has no inputs)",
+        ),
+    ],
+)
+def test_a_document_that_cannot_run_is_an_input_error(capsys, tmp_path, field, spec, problem):
+    doc = {
+        "format_version": 1,
+        "kind": "occurrence",
+        "places": [{"id": "p"}, {"id": "q"}],
+        "transitions": [
+            {"id": "t", "pre": ["p"], "post": ["q"], "latency": {"kind": "const", "value": "1"}}
+        ],
+    }
+    (doc["transitions"] if field == "latency" else doc["places"])[0][field] = spec
+    path = tmp_path / "never.net"
+    path.write_text(json.dumps(doc))
+    for command in (["validate"], ["simulate", "--omega", "0"]):
+        code, report = run_cli(capsys, *command, str(path))
+        assert code == 2
+        assert report["error"]["problems"] == [problem]
+
+
 def test_validate_undecided_under_a_tiny_cap(capsys):
     code, report = run_cli(capsys, "validate", "corpus:choice-join", "--cap", "2")
     assert code == 3

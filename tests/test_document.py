@@ -103,6 +103,29 @@ def test_guard_select_arity_is_checked():
         loads(json.dumps(doc))
 
 
+def test_expression_inputs_are_checked_against_the_preset():
+    doc = _minimal()
+    doc["transitions"][0]["latency"] = {
+        "kind": "expr",
+        "expr": {"op": "add", "args": [{"op": "input", "index": 0}, {"op": "input", "index": 3}]},
+    }
+    with pytest.raises(DocumentError) as err:
+        loads(json.dumps(doc))
+    assert err.value.problems == [
+        "transitions[0].latency.expr.args[1].index: input 3 out of range for 1 inputs"
+    ]
+
+
+def test_an_initial_date_cannot_be_an_expression():
+    doc = _minimal()
+    doc["places"][0]["initial_date"] = {"kind": "expr", "expr": {"op": "const", "value": "1"}}
+    with pytest.raises(DocumentError) as err:
+        loads(json.dumps(doc))
+    assert err.value.problems == [
+        "places[0].initial_date.kind: an initial date cannot be an expression (it has no inputs)"
+    ]
+
+
 def test_mismatched_class_latencies_are_rejected():
     doc = _minimal()
     doc["places"].append({"id": "r"})

@@ -1,7 +1,7 @@
 """Differential test: the race kernel against the recursive race explorer.
 
-``PreOrchNet.kernel`` races grid members on integer dates without building
-their ``OrchNet``.  The reference is the explorer of
+``PreOrchNet.kernel`` races grid members without building their
+``OrchNet``.  The reference is the explorer of
 ``tests/race_reference.py`` on ``pre.instantiate(member)``.  For every
 member compared, under lex and under ``all``, each outcome must agree on
 latency, firing order, stalled flag and value set, in the same order;
@@ -38,6 +38,7 @@ from orchnet.specs import (
     LatencySpec,
     ValueFnSpec,
 )
+from orchnet.timed import _date
 
 from .race_reference import ref_execute, ref_execute_all, ref_latency, ref_run_values
 from .randnets import random_workflow, standard_corpus
@@ -61,7 +62,7 @@ def assert_kernel_matches(pre: PreOrchNet, idx: int, omega: int, tie: str, cap: 
         return Counter(raised=1)
     got = kernel.race(idx, omega, tie, cap, values=True)
     assert [
-        (kernel.date(omega, r.latency), tuple(kernel.transitions[t] for t in r.fired), r.stalled, r.values)
+        (_date(r.latency), tuple(kernel.transitions[t] for t in r.fired), r.stalled, r.values)
         for r in got
     ] == [
         (ref_latency(r), r.step_order, r.stalled, ref_run_values(orch, r)) for r in expected

@@ -1,5 +1,6 @@
 """Monotony deciders: structural, global, oracle, synthesis, conditional."""
 
+import json
 import random
 from dataclasses import replace
 
@@ -23,6 +24,7 @@ from orchnet import (
     const_value_fn,
     date_of,
     load_corpus,
+    loads,
     net_from_arcs,
     num,
     structural_check,
@@ -315,6 +317,44 @@ def test_synthesis_requires_upward_closure():
     specs = replace(built.specs, upward_closed=False)
     with pytest.raises(SynthesisError, match="upward_closed"):
         synthesize_counterexample(built.carrier_net, specs, 0)
+
+
+def test_synthesis_dates_a_forced_prefix_through_its_false_guard():
+    # t1 and t2 race on c; t2 also needs x, which only u produces, and u
+    # rivals r on a.  The forced prefix of (t1, t2) holds u, whose guard is
+    # false: its date is infinite, so r is raised to infinity too, and no
+    # maximal configuration finishes once t1's successor w is starved
+    def transition(tid, pre, post, latency, **more):
+        const = {"kind": "const", "value": latency}
+        return {"id": tid, "pre": pre, "post": post, "latency": const, **more}
+
+    never = {
+        "op": "eq",
+        "left": {"kind": "select", "index": 0},
+        "right": {"kind": "const", "value": {"kind": "atom", "value": "never"}},
+    }
+    doc = {
+        "format_version": 1,
+        "kind": "occurrence",
+        "flags": {"upward_closed": True},
+        "places": [{"id": p} for p in ("a", "c", "o1", "o2", "ra", "x", "y")],
+        "transitions": [
+            transition("u", ["a"], ["x"], "1", guard=never),
+            transition("r", ["a"], ["ra"], "2"),
+            transition("t1", ["c"], ["o1"], "1"),
+            transition("t2", ["c", "x"], ["o2"], "1"),
+            transition("w", ["o1"], ["y"], "1"),
+        ],
+    }
+    built = build(loads(json.dumps(doc)))
+    with pytest.raises(SynthesisError) as err:
+        synthesize_counterexample(built.carrier, built.specs, 0)
+    assert str(err.value).split(": ", 1)[1].split("; ") == [
+        "(r~0f0d3881,u~3e3338de): no consumable residual place after the winner",
+        "(u~3e3338de,r~0f0d3881,x~ce12f6a4): forced run did not stall behind the winner",
+        "(t1~ac7f0e50,t2~cc1c2ad2,o1~cf855af1): every maximal configuration is infinite",
+        "(t2~cc1c2ad2,t1~ac7f0e50): no consumable residual place after the winner",
+    ]
 
 
 def test_synthesis_succeeds_on_generated_failing_nets():

@@ -215,13 +215,12 @@ def test_clusters_partition_the_nodes():
 
 
 def _brute_maximal_configs(net: Net) -> set[frozenset[str]]:
-    rel = compute_relations(net)
     ts = sorted(net.transitions)
     configs = set()
     for r in range(len(ts) + 1):
         for sub in combinations(ts, r):
             nodes = configuration_of(net, frozenset(sub))
-            if is_configuration(net, rel, nodes):
+            if is_configuration(net, nodes):
                 configs.add(nodes)
     return {c for c in configs if not any(c < d for d in configs)}
 
@@ -239,8 +238,7 @@ def test_maximal_configurations_match_subset_oracle():
         ),
     ]
     for net in nets:
-        rel = compute_relations(net)
-        got = set(maximal_configurations(net, rel))
+        got = set(maximal_configurations(net))
         assert got == _brute_maximal_configs(net)
 
 

@@ -10,7 +10,9 @@ producers, presetless transitions and self-conflicts included) and on the
 unfoldings of the 200-net corpus, the validation diagnostics, the
 topological order, every relation between nodes that are not
 self-conflicting, both prefix checks, ``eval_dates`` and ``future`` must
-come out equal.
+come out equal.  ``eval_dates`` is compared again on specs whose value
+functions raise, whose guards are false or raise, and whose latencies are
+expressions over token values.
 """
 
 import random
@@ -19,14 +21,23 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from orchnet import (
+    INFINITE_LATENCY,
+    EvaluationError,
+    GuardOperand,
+    GuardSpec,
+    LatencyExpr,
+    LatencySpec,
     NetStructureError,
     OrchNet,
+    ValueFnSpec,
     atom,
     const_latency,
     const_value_fn,
+    date_of,
     eval_dates,
     execute,
     future,
+    num,
     unfold,
     validate_occurrence_net,
 )
@@ -39,6 +50,7 @@ from orchnet.nets import (
     is_conflict_free,
 )
 
+from .race_reference import transition_date
 from .randnets import standard_corpus
 
 # ---------------------------------------------------------------------------
@@ -165,7 +177,10 @@ def ref_is_conflict_free(rel, nodes):
 
 
 def ref_eval_dates(orch, rel, omega, prefix):
-    """Dates and values of a prefix, or the error ``eval_dates`` raises."""
+    """Dates and values of a prefix, or the error ``eval_dates`` raises.
+
+    Nodes are dated in topological order, as ``eval_dates`` dates them, so
+    of two transitions that raise, the same one raises first."""
     net = orch.net
     if not ref_is_causally_closed(rel, prefix):
         bad = sorted(n for n in prefix if not rel.below[n] <= prefix)
@@ -173,7 +188,7 @@ def ref_eval_dates(orch, rel, omega, prefix):
     if not ref_is_conflict_free(rel, prefix):
         return "prefix is not conflict-free"
     dates, values = {}, {}
-    for node in sorted(prefix, key=lambda n: (len(rel.below[n] & prefix), n)):
+    for node in (n for n in rel.order if n in prefix):
         if node in net.places:
             producers = net.preset[node] & prefix
             if producers:
@@ -183,7 +198,7 @@ def ref_eval_dates(orch, rel, omega, prefix):
                 dates[node] = orch.initial_date[node].value_at(omega)
                 values[node] = orch.initial_value[node]
         else:
-            dates[node], values[node] = orch.transition_date(node, omega, dates, values)
+            dates[node], values[node] = transition_date(orch, node, omega, dates, values)
     return dates, values
 
 
@@ -256,6 +271,44 @@ def simple_orch(net) -> OrchNet:
     )
 
 
+def rich_orch(net, rng) -> OrchNet:
+    """Specs that take every path of ``OrchNet.delay_of``: value functions
+    that raise or deliver atoms, guards that are false or raise on atoms,
+    and ``expr`` latencies that read token values or raise on atoms."""
+    half = LatencyExpr(op="const", const=date_of("1/2"))
+    read_input = LatencySpec(
+        kind="expr", expr=LatencyExpr(op="add", args=(LatencyExpr(op="input", index=0), half))
+    )
+    value_fn, guard, latency = {}, {}, {}
+    for t in sorted(net.transitions):
+        value_fn[t] = rng.choice(
+            (
+                ValueFnSpec(kind="select", index=7),  # raises: no eighth input
+                ValueFnSpec(kind="select", index=0),  # raises without inputs
+                ValueFnSpec(kind="sum"),  # raises on atoms
+                const_value_fn(atom(t)),
+                const_value_fn(num(rng.choice("0123"))),
+            )
+        )
+        if rng.random() < 0.4:
+            guard[t] = GuardSpec(
+                op=rng.choice(("eq", "lt", "leq")),
+                left=GuardOperand(kind="select", index=0),
+                right=GuardOperand(kind="const", const=num(rng.choice("0123"))),
+            )
+        latency[t] = rng.choice(
+            (const_latency("1/3"), const_latency(2), INFINITE_LATENCY, read_input)
+        )
+    return OrchNet(
+        net=net,
+        latency=latency,
+        value_fn=value_fn,
+        initial_date={p: const_latency(rng.choice(("0", "1"))) for p in sorted(net.minimal_places)},
+        guard=guard,
+        initial_value={p: num(rng.choice("0123")) for p in sorted(net.minimal_places)},
+    )
+
+
 # ---------------------------------------------------------------------------
 # Comparison
 
@@ -282,8 +335,8 @@ def assert_same_relations(net, rng) -> Counter:
 
     subsets = random_subsets(rng, net, ref)
     for nodes in subsets:
-        assert is_causally_closed(net, rel, nodes) == ref_is_causally_closed(ref, nodes), nodes
-        assert is_conflict_free(rel, nodes) == ref_is_conflict_free(ref, nodes), nodes
+        assert is_causally_closed(net, nodes) == ref_is_causally_closed(ref, nodes), nodes
+        assert is_conflict_free(net, nodes) == ref_is_conflict_free(ref, nodes), nodes
         seen["subsets"] += 1
         seen["closed"] += ref_is_causally_closed(ref, nodes)
         seen["conflict_free"] += ref_is_conflict_free(ref, nodes)
@@ -347,4 +400,71 @@ def test_corpus_unfoldings_match_the_reference():
         evaluated_prefixes=558,
         rejected_prefixes=1_242,
         futures=595,
+    )
+
+
+# ---------------------------------------------------------------------------
+# eval_dates through value functions, guards and expression latencies
+
+
+def assert_same_dates(net, rng) -> Counter:
+    """``eval_dates`` and the reference agree on each prefix: the same dates
+    and values, or the same error type and message.  Besides the random
+    subsets, each transition's strict past (which stops just before it) and
+    that past with the transition are evaluated."""
+    ref = ref_compute_relations(net)
+    orch = rich_orch(net, rng)
+    prefixes = random_subsets(rng, net, ref)
+    for t in sorted(net.transitions):
+        prefixes += [ref.below[t], ref.below[t] | {t}]
+    seen = Counter(nets=1)
+    outcome = {}
+    for nodes in prefixes:
+        try:
+            expected = ref_eval_dates(orch, ref, 0, nodes)
+        except EvaluationError as exc:
+            expected = (EvaluationError, str(exc))
+        try:
+            ev = eval_dates(orch, 0, nodes)
+        except NetStructureError as exc:
+            got, outcome[nodes] = str(exc), "rejected"
+        except EvaluationError as exc:
+            got, outcome[nodes] = (type(exc), str(exc)), "raised"
+        else:
+            got, outcome[nodes] = (ev.dates, ev.values), "evaluated"
+            seen["infinite"] += not all(d.is_finite for d in ev.dates.values())
+            seen["false_guards"] += sum(
+                not orch.guard[t].evaluate(tuple(ev.values[p] for p in sorted(net.preset[t])))
+                for t in nodes & orch.guard.keys()
+            )
+        assert got == expected, nodes
+        seen[outcome[nodes]] += 1
+    for t in sorted(net.transitions):
+        # the prefix before t evaluates, the one that reaches t raises
+        seen["stops_before_raise"] += (outcome[ref.below[t]], outcome[ref.below[t] | {t}]) == (
+            "evaluated",
+            "raised",
+        )
+    return seen
+
+
+def test_eval_dates_matches_the_reference_through_values_guards_and_expressions():
+    rng = random.Random(5503)
+    seen = Counter()
+    for _ in range(1_500):
+        net = random_net(rng)
+        if validate_occurrence_net(net).ok:
+            seen += assert_same_dates(net, rng)
+    for gen in standard_corpus(total=40):
+        seen += assert_same_dates(unfold(gen.workflow).unfolding, rng)
+    # every path is taken: dates, false guards, errors, and prefixes that
+    # stop before a transition that raises
+    assert seen == Counter(
+        nets=1_071,
+        evaluated=8_124,
+        rejected=2_196,
+        raised=6_321,
+        infinite=1_014,
+        false_guards=388,
+        stops_before_raise=1_929,
     )

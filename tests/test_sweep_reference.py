@@ -113,7 +113,7 @@ def ref_oracle(pre, tie_break="lex", mode="all_pairs", eval_cap=1_000_000) -> Or
             budget["left"] -= 1
             orch = ref_member(pre, members[idx])
             if tie_break == "lex":
-                memo[key] = (end_to_end(orch, omega, "lex"),)
+                memo[key] = (end_to_end(orch, omega),)
             else:
                 memo[key] = tuple(summarize_run(orch, r) for r in execute_all(orch, omega))
         return memo[key]
@@ -182,7 +182,7 @@ def ref_conditional_brute(pre, eval_cap=1_000_000) -> ConditionalReport:
             if budget["left"] <= 0:
                 raise CapExceededError(f"conditional check exceeded evaluation cap {eval_cap}")
             budget["left"] -= 1
-            memo[key] = end_to_end(ref_member(pre, members[idx]), omega, "lex")
+            memo[key] = end_to_end(ref_member(pre, members[idx]), omega)
         return memo[key]
 
     try:
@@ -241,10 +241,10 @@ def shared_races():
             members[key] = (pre, pre.instantiate(assignment))
         return members[key][1]
 
-    def cached_end_to_end(orch, omega, tie_break="lex"):
-        key = (id(orch), omega, tie_break)
+    def cached_end_to_end(orch, omega):
+        key = (id(orch), omega, "lex")
         if key not in races:
-            races[key] = (orch, real_end_to_end(orch, omega, tie_break))
+            races[key] = (orch, real_end_to_end(orch, omega))
         return races[key][1]
 
     def cached_execute_all(orch, omega, *args):

@@ -26,7 +26,6 @@ from orchnet import (
 from orchnet import unfolding as unfolding_module
 from orchnet.attributes import atom
 from orchnet.cli import main
-from orchnet.nets import compute_relations
 
 from .randnets import random_workflow
 import random
@@ -186,13 +185,12 @@ def _reachable_markings(net: Net) -> set[frozenset[str]]:
 
 
 def _all_configuration_cuts(unf: Net) -> list[frozenset[str]]:
-    rel = compute_relations(unf)
     events = sorted(unf.transitions)
     cuts = []
     for mask in range(1 << len(events)):
         fired = frozenset(e for i, e in enumerate(events) if mask >> i & 1)
         nodes = configuration_of(unf, fired)
-        if nodes & unf.transitions != fired or not is_configuration(unf, rel, nodes):
+        if nodes & unf.transitions != fired or not is_configuration(unf, nodes):
             continue
         consumed = frozenset().union(*(unf.preset[e] for e in fired)) if fired else frozenset()
         produced = frozenset().union(*(unf.postset[e] for e in fired)) if fired else frozenset()
