@@ -21,6 +21,9 @@ Entry points:
 * :func:`orchnet.timed.eval_dates` gives the dates and values of a
   causally closed, conflict-free prefix by the max-plus rule, without a
   race.
+* :func:`orchnet.nets.iter_maximal_configurations` yields the maximal
+  configurations of an occurrence net one at a time, in the order of
+  their sorted node tuples, so a caller can stop at the first it needs.
 * :mod:`orchnet.monotony` has the deciders: the structural cluster
   condition, the global optimality condition, the brute-force grid
   oracle, counterexample synthesis, and conditional monotony.
@@ -56,6 +59,7 @@ from .nets import (
     configuration_of,
     is_configuration,
     is_sound,
+    iter_maximal_configurations,
     maximal_configurations,
     net_from_arcs,
     require_occurrence_net,
@@ -179,6 +183,7 @@ __all__ = [
     "induced_preorchnet",
     "is_configuration",
     "is_sound",
+    "iter_maximal_configurations",
     "latency_of_prefix",
     "load",
     "load_corpus",

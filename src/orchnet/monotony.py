@@ -32,6 +32,7 @@ from .nets import (
     Net,
     WorkflowNet,
     clusters,
+    iter_maximal_configurations,
     maximal_configurations,
     maximal_transitions,
     require_occurrence_net,
@@ -448,7 +449,9 @@ def synthesize_counterexample(
     group_of, group_members = _modification_groups(pre, specs, phi)
 
     failures: list[str] = []
-    for cluster in clusters(unf):
+    parts = clusters(unf)
+    cluster_of = {t: c.transitions for c in parts for t in c.transitions}
+    for cluster in parts:
         events = sorted(cluster.transitions)
         for t1 in events:
             for t2 in events:
@@ -465,7 +468,7 @@ def synthesize_counterexample(
                 r1, r2, cone_k = resolved
                 outcome = _attempt(
                     pre, unf, net, phi, base, group_of, group_members,
-                    r1, r2, cone_k, omega_star, tie_break, result, failures,
+                    r1, r2, cluster_of[r1], cone_k, omega_star, tie_break, result, failures,
                 )
                 if outcome is not None:
                     return outcome
@@ -583,6 +586,7 @@ def _attempt(
     group_members: dict[str, set[str]],
     t1: str,
     t2: str,
+    cluster_events: frozenset[str],
     cone_k: frozenset[str],
     omega_star: int,
     tie_break: str,
@@ -632,15 +636,23 @@ def _attempt(
 
     # rig the cluster race: t1's date is strictly minimal among its rivals
     d1 = date_max(k_dates[p] for p in unf.preset[t1]) + lo_lat[t1]
-    cluster_events = next(
-        c.transitions for c in clusters(unf) if t1 in c.transitions
-    )
     for u in sorted(cluster_events):
         if u == t1 or u in k_events:
             continue
         if not raise_group(u, d1 + ExtendedDate(1)):
             failures.append(f"({t1},{t2}): cluster rival {u!r} shares a constraint group with the prefix")
             return None
+
+    # the maximal configurations in order, searched once for all residuals
+    # and only as far as some residual needed
+    search = iter_maximal_configurations(unf)
+    searched: list[frozenset[str]] = []
+
+    def configurations():
+        yield from searched
+        for config in search:
+            searched.append(config)
+            yield config
 
     for residual in residuals:
         starved = tuple(sorted(unf.postset[residual]))
@@ -670,7 +682,7 @@ def _attempt(
         # finite alternative maximal configuration under lo
         alternative = None
         alt_latency = None
-        for config in maximal_configurations(unf):
+        for config in configurations():
             lat_cfg = latency_of_prefix(lo, omega_star, config)
             if lat_cfg.is_finite:
                 alternative = config

@@ -11,6 +11,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from typing import Iterator
 
 from .errors import CapExceededError, NetStructureError
 
@@ -151,11 +152,9 @@ class NodeRelations:
     occurrence net rules out: such a node's map names one of its rival
     consumers only.
 
-    Built on first use: ``below`` (the strict causal past of each node)
-    and ``above``, O(N^2) tables.  Only ``lt``, ``leq``, ``cone`` and
-    ``relation`` read them, for the synthesis cones in
-    ``monotony._descend``; validation, the race and date evaluation never
-    build them.
+    Causality is read off the preset on demand: ``cone`` walks back from a
+    node, and ``lt``, ``leq`` and ``relation`` read it.  Nothing of size
+    O(N^2) is stored.
     """
 
     net: Net
@@ -167,34 +166,25 @@ class NodeRelations:
     def position(self) -> dict[str, int]:
         return {n: i for i, n in enumerate(self.order)}
 
-    @cached_property
-    def below(self) -> dict[str, frozenset[str]]:
-        below: dict[str, frozenset[str]] = {}
-        for node in self.order:
-            past: set[str] = set()
-            for parent in self.net.preset[node]:
-                past.add(parent)
-                past |= below[parent]
-            below[node] = frozenset(past)
-        return below
-
-    @cached_property
-    def above(self) -> dict[str, frozenset[str]]:
-        up: dict[str, set[str]] = {n: set() for n in self.net.nodes}
-        for node, past in self.below.items():
-            for p in past:
-                up[p].add(node)
-        return {n: frozenset(s) for n, s in up.items()}
+    def cone(self, x: str) -> frozenset[str]:
+        """[x]: the causal past of x, x included, as the backward closure of
+        x over the preset."""
+        pre = self.net.preset
+        past = {x}
+        todo = [x]
+        while todo:
+            for parent in pre[todo.pop()]:
+                if parent not in past:
+                    past.add(parent)
+                    todo.append(parent)
+        return frozenset(past)
 
     def lt(self, x: str, y: str) -> bool:
-        return x in self.below[y]
+        return x != y and self.leq(x, y)
 
     def leq(self, x: str, y: str) -> bool:
-        return x == y or x in self.below[y]
-
-    def cone(self, x: str) -> frozenset[str]:
-        """[x]: the causal past of x, x included."""
-        return self.below[x] | {x}
+        # a node's past comes before it in the topological order
+        return x == y or (self.position[x] < self.position[y] and x in self.cone(y))
 
     def in_conflict(self, x: str, y: str) -> bool:
         return self.in_conflict_with(x, self.choices[y])
@@ -506,57 +496,199 @@ def maximal_transitions(net: Net, nodes: frozenset[str]) -> frozenset[str]:
     return frozenset(t for t in ts if not any(net.postset[p] & ts for p in net.postset[t]))
 
 
-def maximal_configurations(net: Net, cap: int = 100_000) -> tuple[frozenset[str], ...]:
-    """All maximal configurations of the occurrence net ``net``, as node
-    sets, in deterministic order.
+_IN, _OUT = 1, 2
 
-    Explores include/exclude branches over enabled transitions; every leaf is
-    checked for maximality directly, so over-approximating branches cannot
-    leak non-maximal results.  Raises CapExceededError if the search visits
-    more than ``cap`` branch points.
+
+def iter_maximal_configurations(net: Net, cap: int = 100_000) -> Iterator[frozenset[str]]:
+    """The maximal configurations of the occurrence net ``net``, as node
+    sets, yielded one at a time in the order of their sorted node tuples.
+
+    Two maximal configurations are never nested, so A sorts before B when
+    the least node of their difference lies in A.  A configuration is its
+    minimal places plus its events F plus post(F), and a place has one
+    producer, so that node is the key of the key-least event in
+    F_A ^ F_B, where ``key(e) = min({e} | post(e))``.  The search therefore
+    decides events in ascending key, include before exclude:
+
+    - including e brings in its causal past, and puts out the other
+      consumers of their presets, with their futures;
+    - excluding e puts out its future;
+    - then come the forced moves: an undecided event whose preset is
+      produced, with no other live consumer, goes in; an out event whose
+      rivals are all out and whose preset has one unproduced place puts
+      that place's producer out.  Either event would stay enabled
+      otherwise.
+    - a branch is cut as soon as an out event has its whole preset
+      produced and all its rivals out: it would stay enabled, so no
+      maximal configuration lies below.  The same test makes every leaf
+      maximal.
+
+    Forced moves drop only branches without a maximal configuration, so
+    the order stands.  The search is lazy: a caller that stops early pays
+    only for the configurations it took.  Raises CapExceededError once the
+    search visits more than ``cap`` nodes: the root plus one per branch
+    taken, so at least one per configuration yielded.
     """
     require_occurrence_net(net)  # memoized per net
-
+    # a place's preset is its producer, if any, and its postset its consumers
     pre, post = net.preset, net.postset
-    producers = {
-        t: {next(iter(net.preset[p])) for p in net.preset[t] if net.preset[p]}
-        for t in net.transitions
-    }
-    results: set[frozenset[str]] = set()
-    visited = 0
-    stack = [(frozenset(), frozenset())]
-    while stack:
-        fired, banned = stack.pop()
-        visited += 1
+    events = sorted(net.transitions, key=lambda t: min((t, *post[t])))
+    n = len(events)
+    status = dict.fromkeys(events, 0)  # 0 undecided, _IN or _OUT
+    produced = set(net.minimal_places)
+    live = {p: len(post[p]) for p in net.places}  # consumers not out
+    # places of pre(e) with a consumer not out, and those not dead (dead:
+    # produced, every consumer out)
+    rivalled = {t: len(pre[t]) for t in events}
+    need = dict(rivalled)
+    # forced moves still to make.  ``free``: events to check for having
+    # each place of their preset produced, with no other live consumer;
+    # such an event must go in, or it would stay enabled.  ``unit``: out
+    # events with no live rival and one unproduced place in their preset,
+    # whose producer must therefore go out.  An out event with no live
+    # rival and its whole preset produced is stuck: the branch is cut.
+    free: list[str] = list(events)
+    unit: list[str] = []
+    trail: list[str] = []  # events in the order they were decided
+
+    def exclude(todo: list[str]) -> bool:
+        """Put the events of ``todo`` and their futures out; False when
+        some event gets stuck."""
+        while todo:
+            x = todo.pop()
+            if status[x]:
+                continue
+            status[x] = _OUT
+            trail.append(x)
+            stuck = False  # an event with no preset went in at the root
+            for p in pre[x]:
+                live[p] -= 1
+                if live[p] == 1:
+                    if p in produced:
+                        free.extend(post[p])
+                elif not live[p]:
+                    dead = p in produced
+                    for c in post[p]:
+                        rivalled[c] -= 1
+                        need[c] -= dead
+                        if not rivalled[c]:
+                            if not need[c]:
+                                stuck = True
+                            elif need[c] == 1:
+                                unit.append(c)
+            if stuck:
+                return False
+            for p in post[x]:
+                todo += post[p]
+        return True
+
+    def include(e: str) -> bool:
+        """Put e and its past in, and their rivals out; False when some
+        event gets stuck."""
+        past = [e]
+        if not produced.issuperset(pre[e]):
+            seen = {e}
+            for x in past:  # grows while read: the undecided past of e
+                for p in pre[x]:
+                    for q in pre[p]:
+                        if not status[q] and q not in seen:
+                            seen.add(q)
+                            past.append(q)
+        for x in past:
+            status[x] = _IN
+            trail.append(x)
+            stuck = False
+            for p in post[x]:
+                produced.add(p)
+                if live[p] == 1:
+                    free.extend(post[p])
+                elif not live[p]:
+                    for c in post[p]:
+                        need[c] -= 1
+                        if not rivalled[c]:
+                            if not need[c]:
+                                stuck = True
+                            elif need[c] == 1:
+                                unit.append(c)
+            if stuck:
+                return False
+        # the rivals still undecided: x is a live consumer of p, so another
+        # one is left when live[p] > 1
+        return exclude([r for x in past for p in pre[x] if live[p] > 1 for r in post[p]])
+
+    def settle() -> bool:
+        """Make the forced moves; False when some event gets stuck."""
+        while unit or free:
+            if unit:
+                if not exclude([q for p in pre[unit.pop()] if p not in produced for q in pre[p]]):
+                    return False
+                continue
+            e = free.pop()
+            if status[e]:
+                continue
+            for p in pre[e]:
+                if live[p] > 1 or p not in produced:
+                    break
+            else:
+                if not include(e):
+                    return False
+        return True
+
+    def undo(mark: int) -> None:
+        free.clear()
+        unit.clear()
+        while len(trail) > mark:
+            x = trail.pop()
+            if status[x] == _IN:
+                for p in post[x]:
+                    if not live[p]:
+                        for c in post[p]:
+                            need[c] += 1
+                    produced.discard(p)
+            else:
+                for p in pre[x]:
+                    if not live[p]:
+                        dead = p in produced
+                        for c in post[p]:
+                            rivalled[c] += 1
+                            need[c] += dead
+                    live[p] += 1
+            status[x] = 0
+
+    visited = 1
+    frames: list[tuple[int, int]] = []  # (event index, trail mark) still to exclude
+    k, ok = 0, settle()
+    while True:
         if visited > cap:
             raise CapExceededError(f"maximal-configuration search exceeded cap {cap}")
-        # transitions that could extend the fired set, banned ones included
-        addable = [
-            t for t in sorted(net.transitions - fired)
-            if producers[t] <= fired and all(post[p].isdisjoint(fired) for p in pre[t])
-        ]
-        cands = [t for t in addable if t not in banned]
-        if not cands:
-            if not addable:
-                results.add(fired)
-            continue
-        # a transition with no live rival (everyone sharing an input place
-        # is banned already) belongs to every maximal configuration that
-        # enables it, so include it without branching
-        free = [
-            t for t in cands
-            if all(r == t or r in banned for p in pre[t] for r in post[p])
-        ]
-        if free:
-            stack.append((fired | {free[0]}, banned))
-            continue
-        stack.append((fired, banned | {cands[0]}))
-        stack.append((fired | {cands[0]}, banned))
-    configs = sorted(
-        (configuration_of(net, fired) for fired in results),
-        key=lambda c: tuple(sorted(c)),
-    )
-    return tuple(configs)
+        if ok:
+            while k < n and status[events[k]]:
+                k += 1
+            if k == n:
+                fired = [x for x in trail if status[x] == _IN]
+                yield frozenset(net.minimal_places.union(fired, *[post[x] for x in fired]))
+                ok = False
+                continue
+            visited += 1
+            frames.append((k, len(trail)))
+            ok = include(events[k]) and settle()
+        elif frames:
+            k, mark = frames.pop()
+            undo(mark)
+            visited += 1
+            ok = exclude([events[k]]) and settle()
+        else:
+            return
+
+
+def maximal_configurations(net: Net, cap: int = 100_000) -> tuple[frozenset[str], ...]:
+    """All maximal configurations of the occurrence net ``net``, as node
+    sets, sorted by their sorted node tuples: the whole of
+    ``iter_maximal_configurations(net, cap)``.  A caller that may stop
+    early should iterate that instead, since it searches lazily.  Raises
+    CapExceededError once the search visits more than ``cap`` nodes (the
+    root plus one per branch taken)."""
+    return tuple(iter_maximal_configurations(net, cap))
 
 
 # ---------------------------------------------------------------------------

@@ -122,7 +122,9 @@ def ref_execute_all(orch, omega, cap=10_000):
 
 def ref_run_values(orch, run):
     ts = run.occurring & orch.net.transitions
-    return frozenset(run.values[t] for t in ts if not (orch.relations.above[t] & ts))
+    # a transition of the run is maximal when it is in no other one's cone
+    below = set().union(*(orch.relations.cone(u) - {u} for u in ts))
+    return frozenset(run.values[t] for t in ts if t not in below)
 
 
 def ref_latency(run):

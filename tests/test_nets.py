@@ -116,7 +116,7 @@ def test_require_occurrence_net_computes_relations_once(monkeypatch):
     net = _overlap_cluster()
     rel = require_occurrence_net(net)
     assert len(calls) == 1
-    assert rel.below == real(net).below
+    assert (rel.order, rel.choices) == (real(net).order, real(net).choices)
     require_occurrence_net(net)  # memoised per net
     assert len(calls) == 1
     nets._validated_relations.cache_clear()
