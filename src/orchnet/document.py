@@ -97,6 +97,19 @@ class NetDocument:
 # Parsing
 
 
+# Known keys; anything else is reported as unknown.
+_TOP_KEYS = frozenset(
+    {"format_version", "kind", "omega_count", "places", "transitions", "grids", "place_grids", "flags"}
+)
+_PLACE_KEYS = frozenset({"id", "initial_date", "initial_value"})
+_TRANSITION_KEYS = frozenset({"id", "pre", "post", "latency", "latency_class", "value_fn", "guard"})
+
+# A JSON path is formatted only when a problem names it.  Nested specs are
+# parsed with the empty path, into a list of their own: each spec parser
+# starts its messages with the path it is given, so those messages are the
+# tails of the full ones, and the node's path is put in front of them.
+
+
 def document_from_json(obj: object) -> NetDocument:
     problems: list[str] = []
     if not isinstance(obj, dict):
@@ -116,12 +129,8 @@ def document_from_json(obj: object) -> NetDocument:
         problems.append(f"omega_count: expected a positive integer, got {omega_count!r}")
         omega_count = 1
 
-    known = {
-        "format_version", "kind", "omega_count", "places", "transitions",
-        "grids", "place_grids", "flags",
-    }
-    for key in sorted(set(obj) - known):
-        problems.append(f"unknown top-level key {key!r}")
+    if unknown := obj.keys() - _TOP_KEYS:
+        problems += [f"unknown top-level key {key!r}" for key in sorted(unknown)]
 
     places = _parse_places(obj.get("places"), omega_count, problems)
     transitions = _parse_transitions(obj.get("transitions"), omega_count, problems)
@@ -137,8 +146,8 @@ def document_from_json(obj: object) -> NetDocument:
         if not isinstance(upward_closed, bool):
             problems.append("flags.upward_closed: expected a boolean")
             upward_closed = False
-        for key in sorted(set(flags) - {"upward_closed"}):
-            problems.append(f"flags: unknown key {key!r}")
+        if unknown := flags.keys() - {"upward_closed"}:
+            problems += [f"flags: unknown key {key!r}" for key in sorted(unknown)]
 
     doc = NetDocument(
         kind=kind,
@@ -162,36 +171,33 @@ def _parse_places(node: object, omega_count: int, problems: list[str]) -> tuple[
     out = []
     seen = set()
     for i, raw in enumerate(node):
-        path = f"places[{i}]"
         if not isinstance(raw, dict):
-            problems.append(f"{path}: expected an object")
+            problems.append(f"places[{i}]: expected an object")
             continue
         pid = raw.get("id")
         if not isinstance(pid, str) or not pid:
-            problems.append(f"{path}.id: expected a non-empty string")
+            problems.append(f"places[{i}].id: expected a non-empty string")
             continue
         if pid in seen:
-            problems.append(f"{path}.id: duplicate place {pid!r}")
+            problems.append(f"places[{i}].id: duplicate place {pid!r}")
             continue
         seen.add(pid)
-        initial_date = None
+        initial_date = initial_value = None
         if "initial_date" in raw:
-            initial_date = latency_from_json(
-                raw["initial_date"], omega_count, f"{path}.initial_date", problems
-            )
+            found: list[str] = []
+            initial_date = latency_from_json(raw["initial_date"], omega_count, "", found)
             if initial_date is not None and initial_date.kind == "expr":
-                problems.append(
-                    f"{path}.initial_date.kind: an initial date cannot be an expression "
-                    "(it has no inputs)"
+                found.append(
+                    ".kind: an initial date cannot be an expression (it has no inputs)"
                 )
-        initial_value = None
+            problems += [f"places[{i}].initial_date{m}" for m in found]
         if "initial_value" in raw:
-            initial_value = value_from_json(
-                raw["initial_value"], f"{path}.initial_value", problems
-            )
-        for key in sorted(set(raw) - {"id", "initial_date", "initial_value"}):
-            problems.append(f"{path}: unknown key {key!r}")
-        out.append(PlaceDecl(id=pid, initial_date=initial_date, initial_value=initial_value))
+            found = []
+            initial_value = value_from_json(raw["initial_value"], "", found)
+            problems += [f"places[{i}].initial_value{m}" for m in found]
+        if unknown := raw.keys() - _PLACE_KEYS:
+            problems += [f"places[{i}]: unknown key {key!r}" for key in sorted(unknown)]
+        out.append(PlaceDecl(pid, initial_date, initial_value))
     return tuple(out)
 
 
@@ -204,80 +210,78 @@ def _parse_transitions(
     out = []
     seen = set()
     for i, raw in enumerate(node):
-        path = f"transitions[{i}]"
         if not isinstance(raw, dict):
-            problems.append(f"{path}: expected an object")
+            problems.append(f"transitions[{i}]: expected an object")
             continue
         tid = raw.get("id")
         if not isinstance(tid, str) or not tid:
-            problems.append(f"{path}.id: expected a non-empty string")
+            problems.append(f"transitions[{i}].id: expected a non-empty string")
             continue
         if tid in seen:
-            problems.append(f"{path}.id: duplicate transition {tid!r}")
+            problems.append(f"transitions[{i}].id: duplicate transition {tid!r}")
             continue
         seen.add(tid)
-
-        arcs = {}
-        for side in ("pre", "post"):
-            raw_side = raw.get(side)
-            if not isinstance(raw_side, list) or not all(isinstance(p, str) for p in raw_side):
-                problems.append(f"{path}.{side}: expected a list of place ids")
-                arcs[side] = ()
-                continue
-            if len(set(raw_side)) != len(raw_side):
-                problems.append(f"{path}.{side}: duplicate place ids")
-            arcs[side] = tuple(sorted(set(raw_side)))
+        pre = _arc_ids(raw.get("pre"), i, "pre", problems)
+        post = _arc_ids(raw.get("post"), i, "post", problems)
 
         if "latency" not in raw:
-            problems.append(f"{path}.latency: required")
+            problems.append(f"transitions[{i}].latency: required")
             latency = const_latency(0)
         else:
-            latency = latency_from_json(raw["latency"], omega_count, f"{path}.latency", problems)
+            found: list[str] = []
+            latency = latency_from_json(raw["latency"], omega_count, "", found)
             if latency is None:
                 latency = const_latency(0)
             elif latency.kind == "expr":
-                _check_inputs(latency.expr, len(arcs["pre"]), f"{path}.latency.expr", problems)
+                _check_inputs(latency.expr, len(pre), ".expr", found)
+            if found:
+                problems += [f"transitions[{i}].latency{m}" for m in found]
 
         latency_class = raw.get("latency_class")
         if latency_class is not None and not isinstance(latency_class, str):
-            problems.append(f"{path}.latency_class: expected a string")
+            problems.append(f"transitions[{i}].latency_class: expected a string")
             latency_class = None
 
         value_fn = None
         if "value_fn" in raw:
-            value_fn = value_fn_from_json(
-                raw["value_fn"], omega_count, f"{path}.value_fn", problems
-            )
+            found = []
+            value_fn = value_fn_from_json(raw["value_fn"], omega_count, "", found)
             if value_fn is not None:
-                _check_selects(value_fn, len(arcs["pre"]), f"{path}.value_fn", problems)
+                _check_selects(value_fn, len(pre), "", found)
+            problems += [f"transitions[{i}].value_fn{m}" for m in found]
 
         guard = None
         if "guard" in raw:
-            guard = guard_from_json(raw["guard"], f"{path}.guard", problems)
+            found = []
+            guard = guard_from_json(raw["guard"], "", found)
             if guard is not None:
                 for side, operand in (("left", guard.left), ("right", guard.right)):
-                    if operand.kind == "select" and operand.index >= len(arcs["pre"]):
-                        problems.append(
-                            f"{path}.guard.{side}: select {operand.index} out of range "
-                            f"for {len(arcs['pre'])} inputs"
+                    if operand.kind == "select" and operand.index >= len(pre):
+                        found.append(
+                            f".{side}: select {operand.index} out of range "
+                            f"for {len(pre)} inputs"
                         )
+            problems += [f"transitions[{i}].guard{m}" for m in found]
 
-        for key in sorted(
-            set(raw) - {"id", "pre", "post", "latency", "latency_class", "value_fn", "guard"}
-        ):
-            problems.append(f"{path}: unknown key {key!r}")
-        out.append(
-            TransitionDecl(
-                id=tid,
-                pre=arcs["pre"],
-                post=arcs["post"],
-                latency=latency,
-                latency_class=latency_class,
-                value_fn=value_fn,
-                guard=guard,
-            )
-        )
+        if unknown := raw.keys() - _TRANSITION_KEYS:
+            problems += [f"transitions[{i}]: unknown key {key!r}" for key in sorted(unknown)]
+        out.append(TransitionDecl(tid, pre, post, latency, latency_class, value_fn, guard))
     return tuple(out)
+
+
+def _arc_ids(raw: object, i: int, side: str, problems: list[str]) -> tuple[str, ...]:
+    """The distinct place ids of transition i's ``pre`` or ``post`` list,
+    sorted."""
+    if isinstance(raw, list):
+        if len(raw) == 1 and isinstance(raw[0], str):
+            return (raw[0],)
+        if all(isinstance(p, str) for p in raw):
+            ids = set(raw)
+            if len(ids) != len(raw):
+                problems.append(f"transitions[{i}].{side}: duplicate place ids")
+            return tuple(sorted(ids))
+    problems.append(f"transitions[{i}].{side}: expected a list of place ids")
+    return ()
 
 
 def _check_selects(spec: ValueFnSpec, arity: int, path: str, problems: list[str]) -> None:
@@ -328,8 +332,10 @@ def _cross_checks(doc: NetDocument) -> list[str]:
     if overlap := sorted(place_ids & transition_ids):
         problems.append(f"ids used for both places and transitions: {overlap}")
     for t in doc.transitions:
-        for side in ("pre", "post"):
-            for p in getattr(t, side):
+        if place_ids.issuperset(t.pre) and place_ids.issuperset(t.post):
+            continue
+        for side, ids in (("pre", t.pre), ("post", t.post)):
+            for p in ids:
                 if p not in place_ids:
                     problems.append(f"transition {t.id!r}: {side} references unknown place {p!r}")
 
@@ -337,14 +343,13 @@ def _cross_checks(doc: NetDocument) -> list[str]:
     class_specs: dict[str, tuple[str, LatencySpec]] = {}
     for t in doc.transitions:
         cls = doc.effective_class(t)
-        if cls in class_specs:
-            owner, spec = class_specs[cls]
-            if spec != t.latency:
-                problems.append(
-                    f"class {cls!r}: transitions {owner!r} and {t.id!r} declare different latencies"
-                )
-        else:
+        declared = class_specs.get(cls)
+        if declared is None:
             class_specs[cls] = (t.id, t.latency)
+        elif declared[1] != t.latency:
+            problems.append(
+                f"class {cls!r}: transitions {declared[0]!r} and {t.id!r} declare different latencies"
+            )
     for cls in sorted(doc.class_grids):
         if cls not in class_specs:
             problems.append(f"grids.{cls}: no transition has this latency class")
@@ -439,8 +444,7 @@ class BuiltDocument:
 def build_carrier(doc: NetDocument) -> Net | WorkflowNet:
     try:
         net = net_from_arcs(
-            {t.id: (set(t.pre), set(t.post)) for t in doc.transitions},
-            places={p.id for p in doc.places},
+            {t.id: (t.pre, t.post) for t in doc.transitions}, places=[p.id for p in doc.places]
         )
         if doc.kind == "workflow":
             return WorkflowNet.from_net(net)

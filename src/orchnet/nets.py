@@ -18,44 +18,42 @@ from .errors import CapExceededError, NetStructureError
 
 @dataclass(frozen=True)
 class Net:
-    """A place/transition net with arc set ``flow`` and initial marking."""
+    """A place/transition net with arc set ``flow`` and initial marking.
+
+    Construction checks every arc and, in that same pass over ``flow``,
+    fills ``preset`` and ``postset``: for each node, the nodes with an arc
+    into it and the nodes with an arc out of it.
+    """
 
     places: frozenset[str]
     transitions: frozenset[str]
     flow: frozenset[tuple[str, str]]
     initial_marking: frozenset[str]
+    nodes: frozenset[str] = field(init=False, repr=False, compare=False)
+    preset: dict[str, frozenset[str]] = field(init=False, repr=False, compare=False)
+    postset: dict[str, frozenset[str]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        overlap = self.places & self.transitions
+        places = self.places
+        overlap = places & self.transitions
         if overlap:
             raise NetStructureError(f"ids used as both place and transition: {sorted(overlap)}")
-        nodes = self.places | self.transitions
+        nodes = places | self.transitions
+        pre: dict[str, list[str]] = {n: [] for n in nodes}
+        post: dict[str, list[str]] = {n: [] for n in nodes}
         for src, dst in self.flow:
             if src not in nodes or dst not in nodes:
                 raise NetStructureError(f"arc ({src!r}, {dst!r}) references unknown node")
-            if (src in self.places) == (dst in self.places):
+            if (src in places) == (dst in places):
                 raise NetStructureError(f"arc ({src!r}, {dst!r}) is not place<->transition")
-        if not self.initial_marking <= self.places:
-            extra = self.initial_marking - self.places
+            pre[dst].append(src)
+            post[src].append(dst)
+        if not self.initial_marking <= places:
+            extra = self.initial_marking - places
             raise NetStructureError(f"initial marking references unknown places: {sorted(extra)}")
-
-    @cached_property
-    def nodes(self) -> frozenset[str]:
-        return self.places | self.transitions
-
-    @cached_property
-    def preset(self) -> dict[str, frozenset[str]]:
-        pre: dict[str, set[str]] = {n: set() for n in self.nodes}
-        for src, dst in self.flow:
-            pre[dst].add(src)
-        return {n: frozenset(s) for n, s in pre.items()}
-
-    @cached_property
-    def postset(self) -> dict[str, frozenset[str]]:
-        post: dict[str, set[str]] = {n: set() for n in self.nodes}
-        for src, dst in self.flow:
-            post[src].add(dst)
-        return {n: frozenset(s) for n, s in post.items()}
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "preset", {n: frozenset(ns) for n, ns in pre.items()})
+        object.__setattr__(self, "postset", {n: frozenset(ns) for n, ns in post.items()})
 
     @cached_property
     def minimal_places(self) -> frozenset[str]:
@@ -263,6 +261,13 @@ def compute_relations(net: Net) -> NodeRelations:
         # a place's parents are its producers, a transition's its preset;
         # acyclicity keeps node out of its parents' pasts
         parents = pre[node]
+        if len(parents) == 1:
+            (parent,) = parents
+            if parent not in choice_places:  # most nodes: share the parent's map
+                choices[node] = choices[parent]
+                if parent in conflicted:
+                    conflicted.add(node)
+                continue
         merged, clash = merge_choices(
             [choices[parent] for parent in parents],
             [(p, node) for p in parents if p in choice_places],

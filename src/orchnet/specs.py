@@ -19,6 +19,7 @@ from .attributes import (
     Value,
     date_of,
     format_date,
+    parse_date,
     value_from_json,
     value_to_json,
 )
@@ -260,13 +261,15 @@ def latency_from_json(node: object, omega_count: int, path: str, problems: list[
         if not isinstance(values, list) or len(values) != omega_count:
             problems.append(f"{path}.values: per_omega table must list {omega_count} entries")
             return None
-        table = []
-        for i, raw in enumerate(values):
-            d = _parse_date_str(raw, f"{path}.values[{i}]", problems)
-            if d is None:
-                return None
-            table.append(d)
-        return LatencySpec(kind="per_omega", table=tuple(table))
+        try:
+            table = tuple(map(parse_date, values))
+        except _NOT_A_DATE:
+            # one at a time, for the message on the first value that fails
+            for i, raw in enumerate(values):
+                if _parse_date_str(raw, f"{path}.values[{i}]", problems) is None:
+                    return None
+            raise
+        return LatencySpec(kind="per_omega", table=table)
     if kind == "expr":
         expr = _expr_from_json(node.get("expr"), f"{path}.expr", problems)
         if expr is None:
@@ -279,6 +282,11 @@ def latency_from_json(node: object, omega_count: int, path: str, problems: list[
 def _parse_const_latency(raw: object, path: str, problems: list[str]) -> LatencySpec | None:
     d = _parse_date_str(raw, f"{path}.value", problems)
     return None if d is None else const_latency(d)
+
+
+# What ``parse_date`` raises on a string that is not a date, and on a value
+# that is not a string (it has no ``strip``, or is unhashable).
+_NOT_A_DATE = (EvaluationError, AttributeError, TypeError)
 
 
 def _parse_date_str(raw: object, path: str, problems: list[str]) -> ExtendedDate | None:

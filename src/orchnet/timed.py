@@ -54,22 +54,20 @@ class OrchNet:
     initial_value: dict[str, Value] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        rel = require_occurrence_net(self.net)
-        object.__setattr__(self, "_relations", rel)
-        missing = sorted(self.net.transitions - set(self.latency))
-        if missing:
-            raise NetStructureError(f"transitions without latency specs: {missing}")
-        missing = sorted(self.net.transitions - set(self.value_fn))
-        if missing:
-            raise NetStructureError(f"transitions without value functions: {missing}")
-        missing = sorted(self.net.minimal_places - set(self.initial_date))
-        if missing:
-            raise NetStructureError(f"minimal places without initial dates: {missing}")
+        net = self.net
+        object.__setattr__(self, "_relations", require_occurrence_net(net))
+        for specs, nodes, what in (
+            (self.latency, net.transitions, "transitions without latency specs"),
+            (self.value_fn, net.transitions, "transitions without value functions"),
+            (self.initial_date, net.minimal_places, "minimal places without initial dates"),
+        ):
+            if not specs.keys() >= nodes:
+                raise NetStructureError(f"{what}: {sorted(nodes - specs.keys())}")
         if self.omega_count < 1:
             raise NetStructureError("omega_count must be at least 1")
-        if not self.net.minimal_places <= self.initial_value.keys():
+        if not net.minimal_places <= self.initial_value.keys():
             # fill the atom(p) defaults into a fresh dict, not the caller's
-            defaults = {p: atom(p) for p in self.net.minimal_places}
+            defaults = {p: atom(p) for p in net.minimal_places}
             object.__setattr__(self, "initial_value", defaults | self.initial_value)
 
     @property
@@ -206,11 +204,26 @@ def _timed_runs(orch: OrchNet, omega: int, branch: bool, cap: int) -> list[Timed
                 dates=out_dates,
                 values=out_values,
                 step_order=step_order,
-                tie_events=tuple(frozenset(names[u] for u in tie) for tie in ties),
+                tie_events=_tie_names(ties, names),
                 stalled=stalled,
             )
         )
     return runs
+
+
+def _tie_names(ties: list[list[int]], names: tuple[str, ...]) -> tuple[frozenset[str], ...]:
+    """The names in each recorded tie.  A W-way tie drains one member per
+    step, so a tie is mostly the one before it less its least member; its
+    set is then a copy of the one before, less one name."""
+    out: list[frozenset[str]] = []
+    last: list[int] = []
+    for tie in ties:
+        if len(tie) + 1 == len(last) and tie == last[1:]:
+            out.append(out[-1] - {names[last[0]]})
+        else:
+            out.append(frozenset([names[u] for u in tie]))
+        last = tie
+    return tuple(out)
 
 
 def execute(orch: OrchNet, omega: int) -> TimedRun:
@@ -306,10 +319,11 @@ def future(orch: OrchNet, kappa: frozenset[str], omega: int) -> OrchNet:
 
     places = net.places & keep
     transitions = net.transitions & keep
+    # the arcs between kept nodes, read off the kept transitions' tables;
+    # kappa's maximal places lose their producers
     flow = frozenset(
-        (a, b)
-        for (a, b) in net.flow
-        if a in keep and b in keep and not (b in max_places)
+        [(p, t) for t in transitions for p in net.preset[t] if p in keep]
+        + [(t, p) for t in transitions for p in net.postset[t] if p in keep and p not in max_places]
     )
     sub = Net(
         places=places,
@@ -696,6 +710,14 @@ def _race(
     the first run found stands for its fired set.  The tied numbers of
     every step with more than one are appended to ``ties``, unless it is
     None.
+
+    Without ``branch`` or ``ties`` the top of the heap fires.  Otherwise a
+    top whose children in the heap hold later dates is untied and, under
+    lex, fires at once.  A tied group leaves the heap whole and waits
+    beside it, sorted: the bucket of one date in a calendar queue (R.
+    Brown, CACM 1988).  Each step fires its least member, drops the
+    members that firing killed and merges in what it enabled at the same
+    date, so a W-way tie costs W pops, not W per step.
     """
     sources, feeds, rivals = rn.sources, rn.feeds, rn.rivals
     heap = []
@@ -708,38 +730,59 @@ def _race(
     collect = branch or ties is not None
     runs: dict[frozenset[int], tuple] = {}
     branches = 0
-    stack = [((ties, [], list(rn.missing), bytearray(len(latency)), dates, heap), None)]
+    stack = [((ties, [], list(rn.missing), bytearray(len(latency)), dates, heap, []), None)]
     while stack:
         state, entry = stack.pop()
-        ties, fired, missing, dead, dates, heap = state
+        ties, fired, missing, dead, dates, heap, group = state
         date_at = dates.__getitem__
         while True:
             if entry is None:
-                while heap and dead[heap[0][1]]:
-                    heappop(heap)
-                if not heap or heap[0][0] is INFINITY:
-                    break
-                if not collect:
-                    entry = heappop(heap)
-                else:
-                    best = heap[0][0]
-                    tied = []
+                if group:
+                    # the rest of the group tied at the last firing's date,
+                    # less what that firing killed (a branch fires any
+                    # member), plus what it enabled at that date
+                    t = fired[-1]
+                    best = dates[t]
+                    if branch or rivals[t]:
+                        group[:] = [u for u in group if not dead[u]]
+                    kept = len(group)
                     while heap and heap[0][0] == best:
-                        u = heappop(heap)[1]
-                        if not dead[u]:
-                            tied.append(u)
-                    for u in tied:
-                        heappush(heap, (best, u))
-                    if ties is not None and len(tied) > 1:
-                        ties.append(tied)
-                    entry = (best, tied[0])
+                        group.append(heappop(heap)[1])
+                    if len(group) > kept:
+                        group.sort(reverse=True)  # merges a descending and an ascending run
+                if not group:
+                    while heap and dead[heap[0][1]]:
+                        heappop(heap)
+                    if not heap or heap[0][0] is INFINITY:
+                        break
+                    if not collect:
+                        entry = heappop(heap)
+                    else:
+                        best = heap[0][0]
+                        # the top is untied when its children in the heap are later
+                        size = len(heap)
+                        if not branch and (size < 2 or heap[1][0] != best) and (
+                            size < 3 or heap[2][0] != best
+                        ):
+                            entry = heappop(heap)
+                        else:
+                            while heap and heap[0][0] == best:
+                                u = heappop(heap)[1]
+                                if not dead[u]:
+                                    group.append(u)
+                            group.reverse()
+                if entry is None:
+                    # the group is kept in descending number: the least is last
+                    if ties is not None and len(group) > 1:
+                        ties.append(group[::-1])
                     if branch:
-                        branches += len(tied)
+                        branches += len(group)
                         if branches > cap:
                             raise CapExceededError(f"tie enumeration exceeded cap {cap}")
                         # the other choices resume from copies, in depth-first order
-                        copies = ((tuple(map(copy, state)), (best, u)) for u in reversed(tied[1:]))
+                        copies = ((tuple(map(copy, state)), (best, u)) for u in group[:-1])
                         stack.extend(copies)
+                    entry = (best, group.pop())
             d, t = entry
             dead[t] = 1
             fired.append(t)

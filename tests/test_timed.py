@@ -39,6 +39,7 @@ from orchnet import (
     summarize_run,
     unfold,
 )
+from orchnet import timed
 from orchnet.specs import LatencyExpr
 
 from .race_reference import assert_locally_optimal
@@ -484,6 +485,24 @@ def test_resolutions_rejects_an_unknown_tie_policy():
         resolutions(_tied_race(), 0, "random")
 
 
+def test_orchnet_names_the_nodes_without_specs_in_sorted_order():
+    net = net_from_arcs({"b": ({"p"}, {"q"}), "a": ({"q"}, {"r"})})
+    full = {
+        "latency": {t: const_latency(1) for t in net.transitions},
+        "value_fn": {t: const_value_fn(atom(t)) for t in net.transitions},
+        "initial_date": {"p": const_latency(0)},
+    }
+    for key, message in (
+        ("latency", "transitions without latency specs: ['a', 'b']"),
+        ("value_fn", "transitions without value functions: ['a', 'b']"),
+        ("initial_date", "minimal places without initial dates: ['p']"),
+    ):
+        with pytest.raises(NetStructureError) as err:
+            OrchNet(net=net, **{**full, key: {}})
+        assert str(err.value) == message
+    assert OrchNet(net=net, **full).initial_value == {"p": atom("p")}
+
+
 def test_orchnet_leaves_the_initial_value_dict_it_was_given_unchanged():
     given: dict = {}
     orch = OrchNet(
@@ -544,3 +563,72 @@ def test_a_2000_branch_fork_join_builds_and_races_without_causal_past_tables():
     assert result.values == frozenset({atom("join")})
     assert result.run.step_order[0] == "fork" and result.run.step_order[-1] == "join"
     assert len(result.run.step_order) == w + 2 and not result.run.stalled
+
+
+# ---------------------------------------------------------------------------
+# Ties: a tied group leaves the heap once and drains in id order
+
+
+def _all_tied_fork_join(w: int):
+    branches = [(f"b{i:05d}", [f"a{i:05d}"], [f"c{i:05d}"], 1) for i in range(w)]
+    fork = ("fork", ["src"], [f"a{i:05d}" for i in range(w)], 1)
+    join = ("join", [f"c{i:05d}" for i in range(w)], ["sink"], 1)
+    return [fork, *branches, join]
+
+
+def _count_heap_operations(monkeypatch) -> dict:
+    counts = {"push": 0, "pop": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(timed, "heappush", counted("push", timed.heappush))
+    monkeypatch.setattr(timed, "heappop", counted("pop", timed.heappop))
+    return counts
+
+
+def test_an_all_tied_2000_branch_fork_join_drains_its_tie_once(monkeypatch):
+    w = 2_000
+    counts = _count_heap_operations(monkeypatch)
+    result = _build_and_race(_all_tied_fork_join(w))
+    run = result.run
+    assert result.latency == date_of(3)
+    assert run.step_order == ("fork", *(f"b{i:05d}" for i in range(w)), "join")
+    # the tie shrinks by its least member at each step, down to two
+    assert [len(tie) for tie in run.tie_events] == list(range(w, 1, -1))
+    assert all(f"b{i:05d}" in tie for i, tie in enumerate(run.tie_events))
+    assert run.tie_events[-1] == frozenset({f"b{w - 2:05d}", f"b{w - 1:05d}"})
+    # fork popped, w branches pushed and popped once each, join pushed and popped
+    assert counts == {"push": w + 1, "pop": w + 2}
+
+
+def test_a_10000_way_tie_makes_heap_traffic_linear_in_its_width(monkeypatch):
+    counts = _count_heap_operations(monkeypatch)
+    traffic = {}
+    for w in (1_000, 10_000):
+        net = net_from_arcs({t: (pre, post) for t, pre, post, _ in _all_tied_fork_join(w)})
+        rn = timed._race_net(net)
+        for i in range(len(rn.names)):
+            rn.compile(i)
+        widths = []
+
+        class Widths(list):
+            # the recorded ties would take W^2/2 names; keep their widths
+            def append(self, tie):
+                widths.append(len(tie))
+
+        counts.update(push=0, pop=0)
+        latency = [1] * len(rn.names)
+        ((fired, stalled, _, _),) = timed._race(
+            rn, latency, [0] * len(rn.names) + [0], None, False, 0, Widths()
+        )
+        assert len(fired) == w + 2 and not stalled
+        assert widths == list(range(w, 1, -1))
+        traffic[w] = counts["push"] + counts["pop"]
+        assert traffic[w] == 2 * w + 3
+    # ten times the width, ten times the heap operations
+    assert traffic[10_000] - 3 == 10 * (traffic[1_000] - 3)
