@@ -296,6 +296,41 @@ def _check_inputs(expr: LatencyExpr, arity: int, path: str, problems: list[str])
         _check_inputs(arg, arity, f"{path}.args[{i}]", problems)
 
 
+def _check_input_values(
+    expr: LatencyExpr,
+    pre: tuple[str, ...],
+    minimal: frozenset[str],
+    initial_value: dict[str, Value],
+    path: str,
+    problems: list[str],
+) -> None:
+    """An ``input`` that reads a minimal place whose value is not a number
+    can never be evaluated.  A minimal place without a declared
+    initial_value carries the atom of its own id."""
+    if expr.op == "input" and expr.index < len(pre) and pre[expr.index] in minimal:
+        p = pre[expr.index]
+        v = initial_value.get(p, atom(p))
+        if v.kind != "num":
+            problems.append(
+                f"{path}.index: input {expr.index} reads minimal place {p!r}, "
+                f"whose value {v} is not a number"
+            )
+    for i, arg in enumerate(expr.args):
+        _check_input_values(arg, pre, minimal, initial_value, f"{path}.args[{i}]", problems)
+
+
+def _check_guard_consts(guard: GuardSpec, path: str, problems: list[str]) -> None:
+    """``lt`` and ``leq`` compare numbers, so a non-numeric constant operand
+    can never be evaluated."""
+    if guard.op == "eq":
+        return
+    for side, operand in (("left", guard.left), ("right", guard.right)):
+        if operand.kind == "const" and operand.const.kind != "num":
+            problems.append(
+                f"{path}.{side}.value: guard {guard.op} needs a number, got {operand.const}"
+            )
+
+
 def _parse_grid(node: object, path: str, problems: list[str]) -> dict[str, tuple[ExtendedDate, ...]]:
     if not isinstance(node, dict):
         problems.append(f"{path}: expected an object")
@@ -462,13 +497,18 @@ def carrier_specs(doc: NetDocument, carrier: Net | WorkflowNet) -> CarrierSpecs:
     value_fn = {}
     guard = {}
     latency_class = {}
-    for t in doc.transitions:
+    initial_value = {p.id: p.initial_value for p in doc.places if p.initial_value is not None}
+    for i, t in enumerate(doc.transitions):
         latency[t.id] = t.latency
         value_fn[t.id] = t.value_fn if t.value_fn is not None else const_value_fn(atom(t.id))
         if t.guard is not None:
             guard[t.id] = t.guard
+            _check_guard_consts(t.guard, f"transitions[{i}].guard", problems)
         if t.latency_class is not None:
             latency_class[t.id] = t.latency_class
+        if t.latency.kind == "expr":
+            path = f"transitions[{i}].latency.expr"
+            _check_input_values(t.latency.expr, t.pre, minimal, initial_value, path, problems)
     initial_date = {}
     for p in doc.places:
         if p.initial_date is not None and p.id not in minimal:
@@ -493,7 +533,7 @@ def carrier_specs(doc: NetDocument, carrier: Net | WorkflowNet) -> CarrierSpecs:
         place_grid=dict(doc.place_grids),
         omega_count=doc.omega_count,
         upward_closed=doc.upward_closed,
-        initial_value={p.id: p.initial_value for p in doc.places if p.initial_value is not None},
+        initial_value=initial_value,
     )
 
 

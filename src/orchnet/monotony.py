@@ -264,23 +264,60 @@ def _sweep(
     ``tie_break`` are memoised per (member index, omega) and charged to one
     budget of ``eval_cap`` evaluations.  A pair violates at an omega when
     ``violates(h, l)`` holds for some hi outcome h and lo outcome l, both
-    ``KernelRun``s (with their value sets when ``values`` is set).  The
+    ``KernelRun``s (with their value sets when ``values`` is set).  A pair
+    whose two members share one outcome tuple cannot violate.  The
     violating pair alone is instantiated and raced again through
     ``resolutions`` for the witness.  Both races run the same loop, so
     comparing them checks the kernel's grid-digit latencies against the
     member's own specs.
+
+    Under lex a member is not always raced.  Take the member one step lower
+    in value in a class coordinate k.  If its run is memoised and fired no
+    transition of class k, it is this member's run too: each transition of
+    class k was killed by a rival or never enabled, and a later date keeps
+    it so, while every date of the run is a max-plus expression of the
+    fired transitions alone.  That run's outcomes are stored for this
+    member, which is charged to the budget as a raced one.  Place
+    coordinates are never reused (a start date bounds every run), nor is
+    anything under ``all``, whose tie groups read rivals that never fire.
     """
     grid = pre.grid_index
     memo: dict[tuple[int, int], tuple[KernelRun, ...]] = {}
+    # per memoised (member, omega): the class coordinates its run fired, one
+    # bit each (kept only where a member can be reused)
+    fired_classes: dict[tuple[int, int], int] = {}
     budget = eval_cap
     pairs_checked = 0
+    # under lex, per gridded class coordinate: where the member one step
+    # lower in value is
+    lowers = [
+        (k, grid.strides[k], len(grid.lowers[k]), grid.lowers[k])
+        for k in range(len(grid.class_ids))
+        if len(grid.lowers[k]) > 1 and tie_break == "lex"
+    ]
 
     def race(idx: int, omega: int) -> tuple[KernelRun, ...]:
         nonlocal budget
         if budget <= 0:
             raise CapExceededError(cap_message)
         budget -= 1
-        memo[idx, omega] = runs = pre.kernel.race(idx, omega, tie_break, values=values)
+        for k, stride, radix, down in lowers:
+            d = idx // stride % radix
+            e = down[d]
+            if e is not None:
+                below = (idx + (e - d) * stride, omega)
+                fired = fired_classes.get(below)
+                if fired is not None and not fired >> k & 1:
+                    fired_classes[idx, omega] = fired
+                    memo[idx, omega] = runs = memo[below]
+                    return runs
+        kernel = pre.kernel
+        memo[idx, omega] = runs = kernel.race(idx, omega, tie_break, values=values)
+        if lowers:
+            fired = 0
+            for t in runs[0].fired:
+                fired |= kernel.class_bit[t]
+            fired_classes[idx, omega] = fired
         return runs
 
     def replay(idx: int, omega: int, pos: int, run: KernelRun) -> EndToEnd:
@@ -298,8 +335,10 @@ def _sweep(
         for hi_idx, lo_idx in _dominating_pairs(grid, mode):
             pairs_checked += 1
             for omega in range(pre.omega_count):
-                hi_all = memo.get((hi_idx, omega)) or race(hi_idx, omega)
                 lo_all = memo.get((lo_idx, omega)) or race(lo_idx, omega)
+                hi_all = memo.get((hi_idx, omega)) or race(hi_idx, omega)
+                if hi_all is lo_all:
+                    continue
                 for h_pos, h in enumerate(hi_all):
                     for l_pos, l in enumerate(lo_all):
                         if violates(h, l):

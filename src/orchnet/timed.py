@@ -449,6 +449,8 @@ class GridIndex:
     strides: tuple[int, ...]
     # per coordinate and digit: the digit holding the next larger value
     raises: tuple[tuple[int | None, ...], ...]
+    # per coordinate and digit: the digit holding the next smaller value
+    lowers: tuple[tuple[int | None, ...], ...]
     # per coordinate and digit: the digits whose value is not larger, ascending
     dominated: tuple[tuple[tuple[int, ...], ...], ...]
     size: int
@@ -460,7 +462,7 @@ class GridIndex:
         grids = [pre.class_grid.get(c) for c in class_ids] + [
             pre.place_grid.get(p) for p in place_ids
         ]
-        digits, raises, dominated = [], [], []
+        digits, raises, lowers, dominated = [], [], [], []
         for grid in grids:
             if grid is None:
                 ds, ladder = (None,), [0]
@@ -468,11 +470,14 @@ class GridIndex:
                 ds = tuple(sorted(grid, key=str))
                 ladder = sorted(range(len(ds)), key=ds.__getitem__)  # digits by value
             up: list[int | None] = [None] * len(ds)
+            down: list[int | None] = [None] * len(ds)
             for d, nxt in zip(ladder, ladder[1:]):
                 up[d] = nxt
+                down[nxt] = d
             rank = {d: r for r, d in enumerate(ladder)}
             digits.append(ds)
             raises.append(tuple(up))
+            lowers.append(tuple(down))
             dominated.append(tuple(tuple(sorted(ladder[: rank[d] + 1])) for d in range(len(ds))))
         strides: list[int] = []
         size = 1
@@ -485,6 +490,7 @@ class GridIndex:
             digits=tuple(digits),
             strides=tuple(strides),
             raises=tuple(raises),
+            lowers=tuple(lowers),
             dominated=tuple(dominated),
             size=size,
         )
@@ -867,6 +873,8 @@ class RaceKernel:
         self.after = tuple(frozenset(c for c, _ in fed) for fed in rn.feeds)
         coordinate = {c: k for k, c in enumerate(grid.class_ids)}
         self.class_coordinate = {t: coordinate[c] for c, ts in pre.classes.items() for t in ts}
+        # per transition number: its class coordinate, as a bit
+        self.class_bit = tuple(1 << self.class_coordinate[t] for t in rn.names)
         self.radices = tuple(len(ds) for ds in grid.digits)
         self._tables: dict[int, _OmegaTable] = {}
 

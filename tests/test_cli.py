@@ -102,6 +102,44 @@ def test_a_document_that_cannot_run_is_an_input_error(capsys, tmp_path, field, s
         assert report["error"]["problems"] == [problem]
 
 
+@pytest.mark.parametrize(
+    "field, spec, problem",
+    [
+        (
+            "guard",
+            {
+                "op": "lt",
+                "left": {"kind": "select", "index": 0},
+                "right": {"kind": "const", "value": {"kind": "atom", "value": "z"}},
+            },
+            "transitions[0].guard.right.value: guard lt needs a number, got z",
+        ),
+        (
+            "latency",
+            {"kind": "expr", "expr": {"op": "input", "index": 0}},
+            "transitions[0].latency.expr.index: input 0 reads minimal place 'p', "
+            "whose value p is not a number",
+        ),
+    ],
+)
+def test_a_document_that_can_never_evaluate_fails_validate(capsys, tmp_path, field, spec, problem):
+    doc = {
+        "format_version": 1,
+        "kind": "occurrence",
+        "places": [{"id": "p"}, {"id": "q"}],
+        "transitions": [
+            {"id": "t", "pre": ["p"], "post": ["q"], "latency": {"kind": "const", "value": "1"}}
+        ],
+    }
+    doc["transitions"][0][field] = spec
+    path = tmp_path / "never.net"
+    path.write_text(json.dumps(doc))
+    for command in (["validate"], ["simulate", "--omega", "0"]):
+        code, report = run_cli(capsys, *command, str(path))
+        assert code == 2
+        assert report["error"]["problems"] == [problem]
+
+
 def test_validate_undecided_under_a_tiny_cap(capsys):
     code, report = run_cli(capsys, "validate", "corpus:choice-join", "--cap", "2")
     assert code == 3

@@ -208,6 +208,47 @@ def test_place_grid_must_target_a_minimal_place():
         build(loads(json.dumps(doc)))
 
 
+def test_an_ordering_guard_against_an_atom_is_rejected_at_build():
+    doc = _minimal()
+    atom_z = {"kind": "const", "value": {"kind": "atom", "value": "z"}}
+    doc["transitions"][0]["guard"] = {"op": "lt", "left": {"kind": "select", "index": 0}, "right": atom_z}
+    parsed = loads(json.dumps(doc))  # well-formed: the kinds are a property of the net
+    with pytest.raises(DocumentError) as err:
+        build(parsed)
+    assert err.value.problems == ["transitions[0].guard.right.value: guard lt needs a number, got z"]
+    # eq compares any two values, and a numeric constant is fine for leq
+    for op, right in (("eq", atom_z), ("leq", {"kind": "const", "value": {"kind": "num", "value": "1"}})):
+        doc["transitions"][0]["guard"] = {"op": op, "left": atom_z, "right": right}
+        if op == "eq":
+            build(loads(json.dumps(doc)))
+        else:
+            with pytest.raises(DocumentError) as err:
+                build(loads(json.dumps(doc)))
+            assert err.value.problems == ["transitions[0].guard.left.value: guard leq needs a number, got z"]
+
+
+def test_an_expression_input_from_an_unvalued_minimal_place_is_rejected_at_build():
+    doc = _minimal()
+    doc["transitions"][0]["latency"] = {
+        "kind": "expr",
+        "expr": {"op": "max", "args": [{"op": "const", "value": "1"}, {"op": "input", "index": 0}]},
+    }
+    parsed = loads(json.dumps(doc))
+    with pytest.raises(DocumentError) as err:
+        build(parsed)
+    assert err.value.problems == [
+        "transitions[0].latency.expr.args[1].index: input 0 reads minimal place 'p', "
+        "whose value p is not a number"
+    ]
+    # a declared atom is no better; a declared number evaluates
+    doc["places"][0]["initial_value"] = {"kind": "atom", "value": "a"}
+    with pytest.raises(DocumentError, match="whose value a is not a number"):
+        build(loads(json.dumps(doc)))
+    doc["places"][0]["initial_value"] = {"kind": "num", "value": "2"}
+    built = build(loads(json.dumps(doc)))
+    assert str(end_to_end(built.pre.baseline(), 0).latency) == "2"
+
+
 def test_workflow_build_carries_the_unfolding():
     built = build(load_corpus("choice-join"))
     assert built.unfolding is not None

@@ -10,9 +10,11 @@ each member instantiated as an ``OrchNet`` and raced by ``end_to_end`` or
 checked, cap note) must come out equal.
 """
 
+import random
 import sys
 from collections import Counter
 from contextlib import contextmanager
+from dataclasses import replace
 from functools import lru_cache
 
 import pytest
@@ -29,12 +31,13 @@ from orchnet import (
     net_from_arcs,
 )
 from orchnet.attributes import atom, value_sort_key
-from orchnet.errors import CapExceededError
+from orchnet.errors import CapExceededError, EvaluationError
 from orchnet.monotony import ConditionalReport, ConditionalWitness, OracleReport, OracleWitness
-from orchnet.specs import ValueFnSpec
-from orchnet.timed import FamilyAssignment, end_to_end, execute_all, summarize_run
+from orchnet.specs import GuardOperand, GuardSpec, ValueFnSpec
+from orchnet.timed import FamilyAssignment, RaceKernel, end_to_end, execute_all, summarize_run
 
-from .randnets import standard_corpus
+from .randnets import random_workflow, standard_corpus
+from .test_kernel_reference import POOL, random_pre
 
 # ---------------------------------------------------------------------------
 # Reference implementation
@@ -388,3 +391,144 @@ def test_collapsed_values_witness_matches_the_reference():
     got = conditional_monotony_check(blind, force_brute=True)
     assert got.outcome == "non_monotonic"
     assert got == ref_conditional_brute(blind)
+
+
+def test_a_later_start_that_hands_over_the_race_matches_the_reference():
+    # a needs s as well as p: starting s later hands p to b, whose tail is
+    # short, so a raise of a minimal place's date finishes earlier
+    net = net_from_arcs(
+        {
+            "a": (("p", "s"), ("qa",)),
+            "b": (("p",), ("qb",)),
+            "ta": (("qa",), ("ra",)),
+            "tb": (("qb",), ("rb",)),
+        }
+    )
+    pre = PreOrchNet(
+        net=net,
+        value_fn={t: ValueFnSpec(kind="tuple_of_inputs") for t in net.transitions},
+        classes={t: frozenset({t}) for t in net.transitions},
+        class_spec={c: const_latency(1) for c in ("a", "b", "ta", "tb")},
+        class_grid={"a": (date_of("1"), date_of("2")), "b": (date_of("2"),), "ta": (date_of("10"),)},
+        initial_date={"p": const_latency(0), "s": const_latency(0)},
+        place_grid={"s": (date_of("0"), date_of("5"))},
+        upward_closed=True,
+    )
+    for mode in ("adjacent", "all_pairs"):
+        got = brute_force_monotony(pre, mode=mode)
+        assert got == ref_oracle(pre, mode=mode), mode
+        assert got.outcome == "non_monotonic"
+        assert got.witness.hi.class_values == got.witness.lo.class_values
+    assert brute_force_monotony(pre, tie_break="all") == ref_oracle(pre, tie_break="all")
+    assert conditional_monotony_check(pre, force_brute=True) == ref_conditional_brute(pre)
+
+
+# ---------------------------------------------------------------------------
+# The reuse rule: under lex, raising a class that fired in no step of a
+# member's run races to that member's run
+
+
+def _raises_of_unfired_classes(pre: PreOrchNet) -> Counter:
+    """Race every member of ``pre`` at every omega, and every raise of one
+    class coordinate to its next larger value.  Where the class fired in no
+    step of the member's lex run, the raised member must race to the same
+    outcomes, value sets included.  Members whose race raises are counted
+    and not raised (the sweep reuses only a memoised run)."""
+    grid, kernel = pre.grid_index, pre.kernel
+    seen = Counter()
+    for omega in range(pre.omega_count):
+        runs = {}
+        for idx in range(grid.size):
+            try:
+                runs[idx] = kernel.race(idx, omega, values=True)
+            except EvaluationError:
+                seen["raised"] += 1
+        for idx, (run,) in runs.items():
+            seen["stalled"] += run.stalled
+            fired = {kernel.class_coordinate[kernel.transitions[t]] for t in run.fired}
+            for k in range(len(grid.class_ids)):
+                d = idx // grid.strides[k] % len(grid.digits[k])
+                up = grid.raises[k][d]
+                if up is None:
+                    continue
+                seen["raises"] += 1
+                if k in fired:
+                    continue
+                seen["reusable"] += 1
+                raised = idx + (up - d) * grid.strides[k]
+                got = runs[raised] if raised in runs else kernel.race(raised, omega, values=True)
+                assert got == runs[idx], (grid.member(idx), grid.class_ids[k], omega)
+    return seen
+
+
+def _tagged_draw(rng: random.Random, size: int) -> PreOrchNet:
+    """A tagged workflow (choice heads deliver their own atom) with ``eq``
+    guards against those atoms, so a guard holds on one branch and stalls
+    on the others, and grids drawn from fractional and infinite values."""
+    gen = random_workflow(rng, size, tagged=True)
+    base = gen.unfolded_pre()
+    tags = [atom(h) for h in sorted(gen.choice_heads)] or [atom("none")]
+    guard = {
+        t: GuardSpec(
+            op="eq",
+            left=GuardOperand(kind="select", index=0),
+            right=GuardOperand(kind="const", const=rng.choice(tags)),
+        )
+        for t in sorted(base.net.transitions)
+        if rng.random() < 0.3
+    }
+    grids = {
+        c: tuple(date_of(v) for v in rng.sample(POOL, rng.randint(1, 4))) for c in sorted(base.classes)
+    }
+    return replace(base, guard=guard, class_grid=grids)
+
+
+def test_raising_a_class_that_never_fired_gives_the_same_run():
+    seen = Counter()
+    for name, pre in _corpus_pres():
+        if pre.member_count() <= 4096:
+            seen += _raises_of_unfired_classes(pre)
+    assert seen == Counter(raises=898_776, reusable=295_443)
+
+    rng = random.Random(1401)
+    tagged, rich = Counter(), Counter()
+    for _ in range(60):
+        tagged += _raises_of_unfired_classes(_tagged_draw(rng, rng.randint(2, 8)))
+    # guards that raise, expr latencies, place grids and several omegas
+    for _ in range(60):
+        rich += _raises_of_unfired_classes(random_pre(rng, rng.randint(2, 8)))
+    assert tagged == Counter(raises=41_860, reusable=27_039, stalled=8_214)
+    assert rich == Counter(raises=10_546, reusable=7_698, stalled=3_094, raised=1_802)
+
+
+def test_reused_members_still_count_but_are_not_raced(monkeypatch):
+    """Adjacent sweeps of the 100 clean corpus nets report the members and
+    pairs they did before reuse, on fewer kernel races; under ``all``,
+    where nothing is reused, every member evaluated is raced."""
+    races = Counter()
+    real_race = RaceKernel.race
+
+    def counted(self, idx, omega, tie="lex", *args, **kwargs):
+        races[tie] += 1
+        return real_race(self, idx, omega, tie, *args, **kwargs)
+
+    monkeypatch.setattr(RaceKernel, "race", counted)
+    clean = [pre for name, pre in _corpus_pres() if name.startswith("pass")]
+    assert len(clean) == 100
+    members = pairs = 0
+    for pre in clean:
+        report = brute_force_monotony(pre, mode="adjacent")
+        assert report.outcome == "monotonic"
+        members += report.members_checked
+        pairs += report.pairs_checked
+    assert (members, pairs) == (82_000, 336_600)
+    assert races == {"lex": 50_725}
+    assert races["lex"] < members
+
+    # a monotonic all-pairs sweep evaluates every member at every omega
+    evaluated = 0
+    for pre in clean:
+        if pre.member_count() <= 256:
+            assert brute_force_monotony(pre, tie_break="all").outcome == "monotonic"
+            evaluated += pre.member_count() * pre.omega_count
+    assert races["all"] == evaluated == 8_272
