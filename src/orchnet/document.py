@@ -305,30 +305,60 @@ def _check_input_values(
     problems: list[str],
 ) -> None:
     """An ``input`` that reads a minimal place whose value is not a number
-    can never be evaluated.  A minimal place without a declared
-    initial_value carries the atom of its own id."""
-    if expr.op == "input" and expr.index < len(pre) and pre[expr.index] in minimal:
-        p = pre[expr.index]
-        v = initial_value.get(p, atom(p))
-        if v.kind != "num":
-            problems.append(
-                f"{path}.index: input {expr.index} reads minimal place {p!r}, "
-                f"whose value {v} is not a number"
-            )
+    can never be evaluated."""
+    if expr.op == "input":
+        problem = _non_numeric_start(pre, expr.index, minimal, initial_value)
+        if problem:
+            problems.append(f"{path}.index: input {expr.index} {problem}")
     for i, arg in enumerate(expr.args):
         _check_input_values(arg, pre, minimal, initial_value, f"{path}.args[{i}]", problems)
 
 
-def _check_guard_consts(guard: GuardSpec, path: str, problems: list[str]) -> None:
+def _non_numeric_start(
+    pre: tuple[str, ...], index: int, minimal: frozenset[str], initial_value: dict[str, Value]
+) -> str:
+    """Why input ``index`` of a transition with preset ``pre`` is never a
+    number, or "" if it may be one: it reads a minimal place whose start
+    value is not a number.  A minimal place without a declared
+    initial_value carries the atom of its own id."""
+    if index < len(pre) and pre[index] in minimal:
+        p = pre[index]
+        v = initial_value.get(p, atom(p))
+        if v.kind != "num":
+            return f"reads minimal place {p!r}, whose value {v} is not a number"
+    return ""
+
+
+def _check_guard_operands(
+    guard: GuardSpec,
+    pre: tuple[str, ...],
+    minimal: frozenset[str],
+    initial_value: dict[str, Value],
+    path: str,
+    problems: list[str],
+) -> None:
     """``lt`` and ``leq`` compare numbers, so a non-numeric constant operand
-    can never be evaluated."""
+    can never be evaluated, nor can a ``select`` that reads a minimal place
+    whose start value is not a number.  Evaluating such a guard raises one
+    error, so the selects are looked at only when no constant fails, and
+    the first failing select alone is reported."""
     if guard.op == "eq":
         return
-    for side, operand in (("left", guard.left), ("right", guard.right)):
+    sides = (("left", guard.left), ("right", guard.right))
+    found = len(problems)
+    for side, operand in sides:
         if operand.kind == "const" and operand.const.kind != "num":
             problems.append(
                 f"{path}.{side}.value: guard {guard.op} needs a number, got {operand.const}"
             )
+    if len(problems) > found:
+        return
+    for side, operand in sides:
+        if operand.kind == "select":
+            problem = _non_numeric_start(pre, operand.index, minimal, initial_value)
+            if problem:
+                problems.append(f"{path}.{side}.index: select {operand.index} {problem}")
+                return
 
 
 def _parse_grid(node: object, path: str, problems: list[str]) -> dict[str, tuple[ExtendedDate, ...]]:
@@ -503,7 +533,8 @@ def carrier_specs(doc: NetDocument, carrier: Net | WorkflowNet) -> CarrierSpecs:
         value_fn[t.id] = t.value_fn if t.value_fn is not None else const_value_fn(atom(t.id))
         if t.guard is not None:
             guard[t.id] = t.guard
-            _check_guard_consts(t.guard, f"transitions[{i}].guard", problems)
+            path = f"transitions[{i}].guard"
+            _check_guard_operands(t.guard, t.pre, minimal, initial_value, path, problems)
         if t.latency_class is not None:
             latency_class[t.id] = t.latency_class
         if t.latency.kind == "expr":

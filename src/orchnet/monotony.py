@@ -261,68 +261,73 @@ def _sweep(
     the first violation.
 
     Members are raced on ``pre.kernel``; the outcomes of one member under
-    ``tie_break`` are memoised per (member index, omega) and charged to one
-    budget of ``eval_cap`` evaluations.  A pair violates at an omega when
-    ``violates(h, l)`` holds for some hi outcome h and lo outcome l, both
-    ``KernelRun``s (with their value sets when ``values`` is set).  A pair
-    whose two members share one outcome tuple cannot violate.  The
-    violating pair alone is instantiated and raced again through
-    ``resolutions`` for the witness.  Both races run the same loop, so
-    comparing them checks the kernel's grid-digit latencies against the
-    member's own specs.
+    ``tie_break`` are memoised in one table per omega, keyed by member
+    index, and charged to one budget of ``eval_cap`` evaluations.  A pair
+    violates at an omega when ``violates(h, l)`` holds for some hi outcome
+    h and lo outcome l, both ``KernelRun``s (with their value sets when
+    ``values`` is set).  A pair whose two members share one outcome tuple
+    cannot violate.  The violating pair alone is instantiated and raced
+    again through ``resolutions`` for the witness.  Both races run the
+    same loop, so comparing them checks the kernel's grid-digit latencies
+    against the member's own specs.
 
     Under lex a member is not always raced.  Take the member one step lower
-    in value in a class coordinate k.  If its run is memoised and fired no
-    transition of class k, it is this member's run too: each transition of
-    class k was killed by a rival or never enabled, and a later date keeps
-    it so, while every date of the run is a max-plus expression of the
-    fired transitions alone.  That run's outcomes are stored for this
-    member, which is charged to the budget as a raced one.  Place
-    coordinates are never reused (a start date bounds every run), nor is
-    anything under ``all``, whose tie groups read rivals that never fire.
+    in value in a class coordinate k.  If its run is memoised at this omega
+    and fired no transition of class k, it is this member's run too: each
+    transition of class k was killed by a rival or never enabled, and a
+    later date keeps it so, while every date of the run is a max-plus
+    expression of the fired transitions alone.  That run's outcomes are
+    stored for this member, which is charged to the budget as a raced one.
+    Place coordinates are never reused (a start date bounds every run), nor
+    is anything under ``all``, whose tie groups read rivals that never fire.
     """
     grid = pre.grid_index
-    memo: dict[tuple[int, int], tuple[KernelRun, ...]] = {}
-    # per memoised (member, omega): the class coordinates its run fired, one
-    # bit each (kept only where a member can be reused)
-    fired_classes: dict[tuple[int, int], int] = {}
+    # per omega: the memo (member index -> outcomes) and, where a member can
+    # be reused, the class coordinates each memoised run fired, one bit each
+    tables = [(omega, {}, {}) for omega in range(pre.omega_count)]
     budget = eval_cap
     pairs_checked = 0
-    # under lex, per gridded class coordinate: where the member one step
-    # lower in value is
+    # under lex, per gridded class coordinate: its bit, and per digit the
+    # index offset of the member one step lower in value (0 at the bottom)
     lowers = [
-        (k, grid.strides[k], len(grid.lowers[k]), grid.lowers[k])
-        for k in range(len(grid.class_ids))
-        if len(grid.lowers[k]) > 1 and tie_break == "lex"
+        (
+            1 << k,
+            stride,
+            len(down),
+            tuple(0 if e is None else (e - d) * stride for d, e in enumerate(down)),
+        )
+        for k, (down, stride) in enumerate(zip(grid.lowers[: len(grid.class_ids)], grid.strides))
+        if len(down) > 1 and tie_break == "lex"
     ]
 
-    def race(idx: int, omega: int) -> tuple[KernelRun, ...]:
+    def race(
+        idx: int, omega: int, memo: dict[int, tuple[KernelRun, ...]], fired_classes: dict[int, int]
+    ) -> tuple[KernelRun, ...]:
         nonlocal budget
         if budget <= 0:
             raise CapExceededError(cap_message)
         budget -= 1
-        for k, stride, radix, down in lowers:
-            d = idx // stride % radix
-            e = down[d]
-            if e is not None:
-                below = (idx + (e - d) * stride, omega)
-                fired = fired_classes.get(below)
-                if fired is not None and not fired >> k & 1:
-                    fired_classes[idx, omega] = fired
-                    memo[idx, omega] = runs = memo[below]
+        for bit, stride, radix, down in lowers:
+            step = down[idx // stride % radix]
+            if step:
+                fired = fired_classes.get(idx + step)
+                if fired is not None and not fired & bit:
+                    fired_classes[idx] = fired
+                    memo[idx] = runs = memo[idx + step]
                     return runs
         kernel = pre.kernel
-        memo[idx, omega] = runs = kernel.race(idx, omega, tie_break, values=values)
+        memo[idx] = runs = kernel.race(idx, omega, tie_break, values=values)
         if lowers:
             fired = 0
-            for t in runs[0].fired:
-                fired |= kernel.class_bit[t]
-            fired_classes[idx, omega] = fired
+            for bit in map(kernel.class_bit.__getitem__, runs[0].fired):
+                fired |= bit
+            fired_classes[idx] = fired
         return runs
 
-    def replay(idx: int, omega: int, pos: int, run: KernelRun) -> EndToEnd:
+    def replay(idx: int, omega: int, runs: tuple[KernelRun, ...], run: KernelRun) -> EndToEnd:
         member = grid.member(idx)
-        outcome = resolutions(pre.instantiate(member), omega, tie_break)[pos]
+        # the runs of a member have distinct fired sets
+        outcome = resolutions(pre.instantiate(member), omega, tie_break)[runs.index(run)]
         if outcome.latency != _date(run.latency) or (
             values and outcome.values != run.values
         ):
@@ -332,22 +337,21 @@ def _sweep(
         return outcome
 
     try:
-        for hi_idx, lo_idx in _dominating_pairs(grid, mode):
-            pairs_checked += 1
-            for omega in range(pre.omega_count):
-                lo_all = memo.get((lo_idx, omega)) or race(lo_idx, omega)
-                hi_all = memo.get((hi_idx, omega)) or race(hi_idx, omega)
+        for pairs_checked, (hi_idx, lo_idx) in enumerate(_dominating_pairs(grid, mode), 1):
+            for omega, memo, fired_classes in tables:
+                lo_all = memo.get(lo_idx) or race(lo_idx, omega, memo, fired_classes)
+                hi_all = memo.get(hi_idx) or race(hi_idx, omega, memo, fired_classes)
                 if hi_all is lo_all:
                     continue
-                for h_pos, h in enumerate(hi_all):
-                    for l_pos, l in enumerate(lo_all):
+                for h in hi_all:
+                    for l in lo_all:
                         if violates(h, l):
                             hit = (
                                 grid.member(hi_idx),
                                 grid.member(lo_idx),
                                 omega,
-                                replay(hi_idx, omega, h_pos, h),
-                                replay(lo_idx, omega, l_pos, l),
+                                replay(hi_idx, omega, hi_all, h),
+                                replay(lo_idx, omega, lo_all, l),
                             )
                             return _SweepResult(hit, pairs_checked, "")
     except CapExceededError as exc:
@@ -363,14 +367,18 @@ def _dominating_pairs(grid: GridIndex, mode: str):
     dominated lo in increasing index order, as the product of the
     per-coordinate dominated digits.
     """
-    radices = [range(len(ds)) for ds in grid.digits]
     if mode == "adjacent":
-        for lo, digits in enumerate(product(*radices)):
-            for k, d in enumerate(digits):
-                up = grid.raises[k][d]
-                if up is not None:
-                    yield lo + (up - d) * grid.strides[k], lo
+        # per coordinate and digit: the index offset of its raise, 0 at the top
+        offsets = [
+            [0 if up is None else (up - d) * stride for d, up in enumerate(ups)]
+            for ups, stride in zip(grid.raises, grid.strides)
+        ]
+        for lo, steps in enumerate(product(*offsets)):
+            for step in steps:
+                if step:
+                    yield lo + step, lo
     elif mode == "all_pairs":
+        radices = [range(len(ds)) for ds in grid.digits]
         offsets = [
             [tuple(e * stride for e in lows) for lows in per_digit]
             for per_digit, stride in zip(grid.dominated, grid.strides)

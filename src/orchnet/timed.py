@@ -710,10 +710,11 @@ def _race(
     fired transition are marked dead and dropped when they reach the top,
     and a run stops when the top is ``INFINITY``.
 
-    Without ``branch``, the least number among the tied fires.  With it,
-    each tied transition fires in turn, depth first, each step charging
-    its tied count to ``cap``; a run is copied only where it branches, and
-    the first run found stands for its fired set.  The tied numbers of
+    Without ``branch``, the least number among the tied fires, and the one
+    run is returned as it ends.  With it, each tied transition fires in
+    turn, depth first, each step charging its tied count to ``cap``; a run
+    is copied only where it branches, and the first run found stands for
+    its fired set.  The tied numbers of
     every step with more than one are appended to ``ties``, unless it is
     None.
 
@@ -731,7 +732,9 @@ def _race(
         lat = latency[c]
         if lat is None:
             lat = latency[c] = evaluate(c)
-        heap.append((lat + max(map(dates.__getitem__, sources[c]), default=0), c))
+        src = sources[c]
+        ready = dates[src[0]] if len(src) == 1 else max(map(dates.__getitem__, src), default=0)
+        heap.append((lat + ready, c))
     heapify(heap)
     collect = branch or ties is not None
     runs: dict[frozenset[int], tuple] = {}
@@ -801,12 +804,16 @@ def _race(
                     lat = latency[c]
                     if lat is None:
                         lat = latency[c] = evaluate(c)
-                    heappush(heap, (lat + max(map(date_at, sources[c])), c))
+                    src = sources[c]
+                    # a lone source is t itself
+                    heappush(heap, (lat + (d if len(src) == 1 else max(map(date_at, src))), c))
             entry = None
         # only infinite-date transitions are left enabled here.  An enabled
         # transition is in conflict with nothing fired, and a causally
         # minimal unfired transition in conflict with nothing fired is
         # enabled, so the configuration is maximal iff none is left.
+        if not branch:
+            return [(fired, bool(heap), dates, ties)]
         runs.setdefault(frozenset(fired), (fired, bool(heap), dates, ties))
     if len(runs) == 1:
         return list(runs.values())
@@ -833,10 +840,11 @@ class _OmegaTable:
     ``_number`` gives them."""
 
     latency: list[int | Fraction | _Infinity | None]  # per transition; None where it raises
-    latency_slots: tuple[tuple[int, int], ...]  # (transition, coordinate)
+    # (transition, its coordinate's stride, radix and grid values)
+    latency_slots: tuple[tuple[int, int, int, tuple], ...]
     dates: list[int | Fraction | _Infinity]  # per date source: transitions 0, then initial dates
-    date_slots: tuple[tuple[int, int], ...]  # (date source, coordinate)
-    digits: tuple[tuple[int | Fraction | _Infinity, ...], ...]  # per coordinate: its grid values
+    date_slots: tuple[tuple[int, int, int, tuple], ...]  # (date source, stride, radix, values)
+    start: int | Fraction | _Infinity | None  # the latest initial date; None if a place is gridded
     errors: dict[int, EvaluationError]  # raised when a race enables the transition
     values: list[Value | None]  # per transition
 
@@ -875,17 +883,13 @@ class RaceKernel:
         self.class_coordinate = {t: coordinate[c] for c, ts in pre.classes.items() for t in ts}
         # per transition number: its class coordinate, as a bit
         self.class_bit = tuple(1 << self.class_coordinate[t] for t in rn.names)
-        self.radices = tuple(len(ds) for ds in grid.digits)
         self._tables: dict[int, _OmegaTable] = {}
 
-    def _table(self, omega: int) -> _OmegaTable:
-        tab = self._tables.get(omega)
-        if tab is None:
-            tab = self._tables[omega] = self._compile(omega)
-        return tab
-
     def _compile(self, omega: int) -> _OmegaTable:
+        """The table of ``omega``, compiled and kept on its first race; an
+        omega out of range raises here."""
         orch, grid, rn = self.orch, self.grid, self.race_net
+        orch.check_omega(omega)
         n, ncls = len(rn.names), len(grid.class_ids)
         gridded = [ds[0] is not None for ds in grid.digits]
         # raised here, so when a race at this omega starts
@@ -910,20 +914,24 @@ class RaceKernel:
             k = self.class_coordinate[t]
             if gridded[k] and delays[i].is_finite:  # not stalled by its guard
                 slots.append((i, k))
-
-        return _OmegaTable(
+        # per coordinate: its stride, radix and grid values (none if not gridded)
+        radix = [
+            (stride, len(ds), tuple(map(_number, ds)) if on else ())
+            for ds, stride, on in zip(grid.digits, grid.strides, gridded)
+        ]
+        date_slots = tuple(
+            (n + m, *radix[ncls + m]) for m in range(len(rn.places)) if gridded[ncls + m]
+        )
+        tab = self._tables[omega] = _OmegaTable(
             latency=[None if i in errors else _number(d) for i, d in enumerate(delays)],
-            latency_slots=tuple(slots),
+            latency_slots=tuple((i, *radix[k]) for i, k in slots),
             dates=[0] * n + initial,
-            date_slots=tuple(
-                (n + m, ncls + m) for m in range(len(rn.places)) if gridded[ncls + m]
-            ),
-            digits=tuple(
-                tuple(map(_number, ds)) if on else () for ds, on in zip(grid.digits, gridded)
-            ),
+            date_slots=date_slots,
+            start=None if date_slots else max(initial, default=0),
             errors=errors,
             values=values[:n],
         )
+        return tab
 
     def race(
         self, idx: int, omega: int, tie: str = "lex", cap: int = 10_000, values: bool = False
@@ -931,19 +939,20 @@ class RaceKernel:
         """The outcomes of grid member ``idx`` at ``omega``, as
         ``resolutions(pre.instantiate(grid.member(idx)), omega, tie, cap)``
         gives them: one per distinct fired set, in the same order, with the
-        same cap on tie branches.  Ties are not recorded."""
+        same cap on tie branches.  Ties are not recorded.  ``omega`` is
+        checked once, when its table is compiled."""
         if tie not in ("lex", "all"):
             raise NetStructureError(f"unknown tie_break {tie!r}")
-        self.orch.check_omega(omega)
-        tab = self._table(omega)
-        strides, radices, digits = self.grid.strides, self.radices, tab.digits
+        tab = self._tables.get(omega) or self._compile(omega)
         latency = tab.latency.copy()
-        for i, k in tab.latency_slots:
-            latency[i] = digits[k][idx // strides[k] % radices[k]]
+        for i, stride, radix, ds in tab.latency_slots:
+            latency[i] = ds[idx // stride % radix]
         dates = tab.dates.copy()
-        for s, k in tab.date_slots:
-            dates[s] = digits[k][idx // strides[k] % radices[k]]
-        start = max(dates[len(latency) :], default=0)
+        start = tab.start
+        if start is None:
+            for s, stride, radix, ds in tab.date_slots:
+                dates[s] = ds[idx // stride % radix]
+            start = max(dates[len(latency) :])
         runs = []
         for fired, stalled, dates, _ in _race(
             self.race_net, latency, dates, tab.fail, tie == "all", cap, None

@@ -120,6 +120,16 @@ def test_a_document_that_cannot_run_is_an_input_error(capsys, tmp_path, field, s
             "transitions[0].latency.expr.index: input 0 reads minimal place 'p', "
             "whose value p is not a number",
         ),
+        (
+            "guard",
+            {
+                "op": "lt",
+                "left": {"kind": "select", "index": 0},
+                "right": {"kind": "const", "value": {"kind": "num", "value": "1"}},
+            },
+            "transitions[0].guard.left.index: select 0 reads minimal place 'p', "
+            "whose value p is not a number",
+        ),
     ],
 )
 def test_a_document_that_can_never_evaluate_fails_validate(capsys, tmp_path, field, spec, problem):

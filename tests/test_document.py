@@ -227,6 +227,39 @@ def test_an_ordering_guard_against_an_atom_is_rejected_at_build():
             assert err.value.problems == ["transitions[0].guard.left.value: guard leq needs a number, got z"]
 
 
+def test_an_ordering_guard_that_selects_an_unvalued_minimal_place_is_rejected_at_build():
+    doc = _minimal()
+    one = {"kind": "const", "value": {"kind": "num", "value": "1"}}
+    doc["transitions"][0]["guard"] = {"op": "lt", "left": {"kind": "select", "index": 0}, "right": one}
+    parsed = loads(json.dumps(doc))  # well-formed: the kinds are a property of the net
+    with pytest.raises(DocumentError) as err:
+        build(parsed)
+    assert err.value.problems == [
+        "transitions[0].guard.left.index: select 0 reads minimal place 'p', "
+        "whose value p is not a number"
+    ]
+    # either side, once per guard; a declared atom is no better
+    doc["transitions"][0]["guard"] = {
+        "op": "leq",
+        "left": {"kind": "select", "index": 0},
+        "right": {"kind": "select", "index": 0},
+    }
+    doc["places"][0]["initial_value"] = {"kind": "atom", "value": "a"}
+    with pytest.raises(DocumentError) as err:
+        build(loads(json.dumps(doc)))
+    assert err.value.problems == [
+        "transitions[0].guard.left.index: select 0 reads minimal place 'p', "
+        "whose value a is not a number"
+    ]
+    # a declared number evaluates, and eq compares any two values
+    doc["places"][0]["initial_value"] = {"kind": "num", "value": "2"}
+    built = build(loads(json.dumps(doc)))
+    assert str(end_to_end(built.pre.baseline(), 0).latency) == "1"
+    doc["places"][0]["initial_value"] = {"kind": "atom", "value": "a"}
+    doc["transitions"][0]["guard"]["op"] = "eq"
+    build(loads(json.dumps(doc)))
+
+
 def test_an_expression_input_from_an_unvalued_minimal_place_is_rejected_at_build():
     doc = _minimal()
     doc["transitions"][0]["latency"] = {

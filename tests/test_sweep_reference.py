@@ -29,6 +29,7 @@ from orchnet import (
     date_of,
     load_corpus,
     net_from_arcs,
+    per_omega_latency,
 )
 from orchnet.attributes import atom, value_sort_key
 from orchnet.errors import CapExceededError, EvaluationError
@@ -419,6 +420,43 @@ def test_a_later_start_that_hands_over_the_race_matches_the_reference():
         assert got == ref_oracle(pre, mode=mode), mode
         assert got.outcome == "non_monotonic"
         assert got.witness.hi.class_values == got.witness.lo.class_values
+    assert brute_force_monotony(pre, tie_break="all") == ref_oracle(pre, tie_break="all")
+    assert conditional_monotony_check(pre, force_brute=True) == ref_conditional_brute(pre)
+
+
+def test_a_violation_at_the_second_omega_matches_the_reference():
+    # raising a hands p to b; at omega 0 a's tail is free and the race ends
+    # no sooner, at omega 1 the tail is slow and it ends sooner: a member's
+    # outcome at one omega says nothing of its outcome at another
+    net = net_from_arcs(
+        {
+            "a": (("p",), ("qa",)),
+            "b": (("p",), ("qb",)),
+            "ta": (("qa",), ("ra",)),
+            "tb": (("qb",), ("rb",)),
+        }
+    )
+    pre = PreOrchNet(
+        net=net,
+        value_fn={t: ValueFnSpec(kind="tuple_of_inputs") for t in net.transitions},
+        classes={t: frozenset({t}) for t in net.transitions},
+        class_spec={
+            "a": const_latency(1),
+            "b": const_latency(2),
+            "ta": per_omega_latency(["0", "10"]),
+            "tb": const_latency(0),
+        },
+        class_grid={"a": (date_of("1"), date_of("3"))},
+        initial_date={"p": const_latency(0)},
+        place_grid={},
+        omega_count=2,
+        upward_closed=True,
+    )
+    for mode in ("adjacent", "all_pairs"):
+        got = brute_force_monotony(pre, mode=mode)
+        assert got == ref_oracle(pre, mode=mode), mode
+        assert got.outcome == "non_monotonic"
+        assert (got.witness.omega, str(got.witness.latency_hi), str(got.witness.latency_lo)) == (1, "2", "11")
     assert brute_force_monotony(pre, tie_break="all") == ref_oracle(pre, tie_break="all")
     assert conditional_monotony_check(pre, force_brute=True) == ref_conditional_brute(pre)
 
