@@ -11,49 +11,37 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Iterator
+from typing import Iterable, Iterator, Mapping
 
 from .errors import CapExceededError, NetStructureError
 
 
 @dataclass(frozen=True)
 class Net:
-    """A place/transition net with arc set ``flow`` and initial marking.
-
-    Construction checks every arc and, in that same pass over ``flow``,
-    fills ``preset`` and ``postset``: for each node, the nodes with an arc
-    into it and the nodes with an arc out of it.
-    """
+    """A place/transition net as its arc tables, with an initial marking:
+    ``preset[n]`` holds the nodes with an arc into node n, and ``postset[n]``
+    those with an arc out of it.  ``net_from_arcs`` builds one and checks its
+    arcs, and the arc set ``flow`` is derived.  Nets are equal when they have
+    the same places, transitions, marking and arcs; the hash leaves the tables
+    out."""
 
     places: frozenset[str]
     transitions: frozenset[str]
-    flow: frozenset[tuple[str, str]]
     initial_marking: frozenset[str]
-    nodes: frozenset[str] = field(init=False, repr=False, compare=False)
-    preset: dict[str, frozenset[str]] = field(init=False, repr=False, compare=False)
-    postset: dict[str, frozenset[str]] = field(init=False, repr=False, compare=False)
+    # with the same nodes, the same presets are the same arcs
+    preset: dict[str, frozenset[str]] = field(repr=False, hash=False)
+    postset: dict[str, frozenset[str]] = field(repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        places = self.places
-        overlap = places & self.transitions
-        if overlap:
-            raise NetStructureError(f"ids used as both place and transition: {sorted(overlap)}")
-        nodes = places | self.transitions
-        pre: dict[str, list[str]] = {n: [] for n in nodes}
-        post: dict[str, list[str]] = {n: [] for n in nodes}
-        for src, dst in self.flow:
-            if src not in nodes or dst not in nodes:
-                raise NetStructureError(f"arc ({src!r}, {dst!r}) references unknown node")
-            if (src in places) == (dst in places):
-                raise NetStructureError(f"arc ({src!r}, {dst!r}) is not place<->transition")
-            pre[dst].append(src)
-            post[src].append(dst)
-        if not self.initial_marking <= places:
-            extra = self.initial_marking - places
-            raise NetStructureError(f"initial marking references unknown places: {sorted(extra)}")
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "preset", {n: frozenset(ns) for n, ns in pre.items()})
-        object.__setattr__(self, "postset", {n: frozenset(ns) for n, ns in post.items()})
+    @cached_property
+    def nodes(self) -> frozenset[str]:
+        return self.places | self.transitions
+
+    @property
+    def flow(self) -> frozenset[tuple[str, str]]:
+        return frozenset(
+            [(p, t) for t in self.transitions for p in self.preset[t]]
+            + [(t, p) for t in self.transitions for p in self.postset[t]]
+        )
 
     @cached_property
     def minimal_places(self) -> frozenset[str]:
@@ -67,34 +55,59 @@ class Net:
         return _cycle_node(self) is None
 
 
-def net_from_arcs(
-    transitions: dict[str, tuple[tuple[str, ...], tuple[str, ...]]],
-    places: tuple[str, ...] = (),
-    marking: tuple[str, ...] | None = None,
-) -> Net:
-    """Build a net from {transition: (preset, postset)}.
+_EMPTY: frozenset[str] = frozenset()
 
-    Places are collected from the arcs plus any explicitly listed extras.
-    With ``marking=None`` the initial marking defaults to the minimal places.
+
+def net_from_arcs(
+    transitions: Mapping[str, tuple[Iterable[str], Iterable[str]]],
+    places: Iterable[str] | None = None,
+    marking: Iterable[str] | None = None,
+) -> Net:
+    """Build a net from {transition: (preset, postset)}, checking its arcs.
+
+    The places default to those the arcs name, and the marking to the
+    minimal places.  The first bad arc is reported: transitions in table
+    order, each one's preset arcs and then its postset arcs, in sorted
+    order.  A place with one producer or one consumer gets that
+    transition's one-element set, shared by every place it is alone at.
     """
-    place_set = set(places)
-    flow = set()
+    if places is None:
+        places = {p for pre, post in transitions.values() for p in (*pre, *post)}
+    places = frozenset(places)
+    overlap = places & transitions.keys()
+    if overlap:
+        raise NetStructureError(f"ids used as both place and transition: {sorted(overlap)}")
+    preset = dict.fromkeys(places, _EMPTY)
+    postset = dict.fromkeys(places, _EMPTY)
+    producers: dict[str, list[str]] = {}  # of the places with two or more
+    consumers: dict[str, list[str]] = {}
     for t, (pre, post) in transitions.items():
-        for p in pre:
-            place_set.add(p)
-            flow.add((p, t))
-        for p in post:
-            place_set.add(p)
-            flow.add((t, p))
+        pre, post = frozenset(pre), frozenset(post)
+        if not (pre <= places and post <= places):
+            bad = pre - places
+            p = min(bad or post - places)
+            what = "is not place<->transition" if p in transitions else "references unknown node"
+            raise NetStructureError(f"arc {(p, t) if bad else (t, p)!r} {what}")
+        alone = frozenset((t,))
+        for ps, table, many in ((pre, postset, consumers), (post, preset, producers)):
+            for p in ps:
+                if table[p] is _EMPTY:
+                    table[p] = alone
+                elif p in many:
+                    many[p].append(t)
+                else:
+                    many[p] = [*table[p], t]
+        preset[t] = pre
+        postset[t] = post
+    for table, many in ((preset, producers), (postset, consumers)):
+        for p, ts in many.items():
+            table[p] = frozenset(ts)
     if marking is None:
-        produced = {p for _, (_, post) in transitions.items() for p in post}
-        marking = tuple(p for p in place_set if p not in produced)
-    return Net(
-        places=frozenset(place_set),
-        transitions=frozenset(transitions),
-        flow=frozenset(flow),
-        initial_marking=frozenset(marking),
-    )
+        marking = [p for p in places if preset[p] is _EMPTY]
+    marking = frozenset(marking)
+    if not marking <= places:
+        raise NetStructureError(f"initial marking references unknown places: {sorted(marking - places)}")
+    return Net(places, frozenset(transitions), marking, preset, postset)
 
 
 def _cycle_node(net: Net) -> str | None:
@@ -353,7 +366,7 @@ def validate_occurrence_net(net: Net) -> OccurrenceCheck:
                 )
             )
 
-    minimal = frozenset(p for p in net.places if not net.preset[p])
+    minimal = net.minimal_places
     if net.initial_marking != minimal:
         missing = sorted(minimal - net.initial_marking)
         extra = sorted(net.initial_marking - minimal)
@@ -719,8 +732,8 @@ class WorkflowNet:
         cyc = _cycle_node(net)
         if cyc is not None:
             problems.append(f"flow graph has a cycle through {cyc!r}")
-        minimal = sorted(p for p in net.places if not net.preset[p])
-        maximal = sorted(p for p in net.places if not net.postset[p])
+        minimal = sorted(net.minimal_places)
+        maximal = sorted(net.maximal_places)
         if len(minimal) != 1:
             problems.append(f"expected a unique minimal place, found {minimal}")
         if len(maximal) != 1:

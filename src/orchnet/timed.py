@@ -36,6 +36,7 @@ from .nets import (
     is_causally_closed,
     is_conflict_free,
     maximal_transitions,
+    net_from_arcs,
     require_occurrence_net,
 )
 from .specs import GuardSpec, LatencySpec, ValueFnSpec, const_latency
@@ -317,19 +318,12 @@ def future(orch: OrchNet, kappa: frozenset[str], omega: int) -> OrchNet:
     blocked = {n for n in net.nodes - kappa if rel.in_conflict_with(n, chosen)}
     keep = (net.nodes - interior - blocked) | max_places
 
-    places = net.places & keep
+    # a kept transition keeps its whole preset and postset, which are
+    # outside kappa's interior and not blocked; kappa's maximal places
+    # lose their producers, so they are minimal in the result
     transitions = net.transitions & keep
-    # the arcs between kept nodes, read off the kept transitions' tables;
-    # kappa's maximal places lose their producers
-    flow = frozenset(
-        [(p, t) for t in transitions for p in net.preset[t] if p in keep]
-        + [(t, p) for t in transitions for p in net.postset[t] if p in keep and p not in max_places]
-    )
-    sub = Net(
-        places=places,
-        transitions=transitions,
-        flow=flow,
-        initial_marking=frozenset(p for p in places if not (net.preset[p] & keep)) | max_places,
+    sub = net_from_arcs(
+        {t: (net.preset[t], net.postset[t]) for t in transitions}, places=net.places & keep
     )
 
     initial_date: dict[str, LatencySpec] = {}
@@ -373,7 +367,7 @@ def compare_families(a: OrchNet, b: OrchNet) -> FamilyOrder:
     Expression latencies are only comparable when syntactically equal:
     deciding pointwise inequality of expressions is out of scope.
     """
-    if a.net.nodes != b.net.nodes or a.net.flow != b.net.flow:
+    if a.net.nodes != b.net.nodes or a.net.preset != b.net.preset:
         return FamilyOrder(geq=False, reason="nets differ")
     if a.omega_count != b.omega_count:
         return FamilyOrder(geq=False, reason="omega domains differ")
@@ -420,16 +414,6 @@ class FamilyAssignment:
 
     class_values: tuple[tuple[str, ExtendedDate | None], ...]
     place_values: tuple[tuple[str, ExtendedDate | None], ...]
-
-    def dominates(self, other: "FamilyAssignment") -> bool:
-        mine = self.class_values + self.place_values
-        for (c, v), (c2, v2) in zip(mine, other.class_values + other.place_values):
-            assert c == c2
-            if v is None and v2 is None:
-                continue
-            if v is None or v2 is None or v < v2:
-                return False
-        return True
 
 
 @dataclass(frozen=True)
@@ -555,18 +539,6 @@ class PreOrchNet:
     def kernel(self) -> "RaceKernel":
         """The race of every grid member, compiled once (see RaceKernel)."""
         return RaceKernel(self)
-
-    def assignments(self) -> tuple[FamilyAssignment, ...]:
-        """Every grid member, in canonical order.
-
-        The order is lexicographic over the coordinates, classes (by id)
-        before minimal places (by id), and within one coordinate by the
-        string form of the grid value, so ``"10"`` comes before ``"2"``.
-        The oracles walk members in this order and report the first
-        violating pair they meet as the witness.
-        """
-        grid = self.grid_index
-        return tuple(grid.member(i) for i in range(grid.size))
 
     def instantiate(self, assignment: FamilyAssignment) -> OrchNet:
         latency: dict[str, LatencySpec] = {}

@@ -31,7 +31,7 @@ from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain
+from itertools import accumulate
 from types import MappingProxyType
 
 from .errors import CapExceededError, NetStructureError
@@ -41,6 +41,7 @@ from .nets import (
     _topological_order,
     is_sound,
     merge_choices,
+    net_from_arcs,
     require_occurrence_net,
 )
 from .timed import OrchNet, PreOrchNet
@@ -104,16 +105,20 @@ def _unfold(carrier: Net | WorkflowNet, require_sound: bool) -> UnfoldingResult:
     node_map.update(zip(ev_names, ev_label))
     if len(node_map) != len(cond_names) + len(ev_names):
         raise NetStructureError("hash collision on unfolding node names")
-    unfolding = Net(
-        places=frozenset(cond_names),
-        transitions=frozenset(ev_names),
-        flow=frozenset(
-            chain(
-                ((cond_names[c], ev_names[e]) for e, combo in enumerate(ev_preset) for c in combo),
-                ((ev_names[e], cond_names[c]) for c, e in enumerate(cond_producer) if e >= 0),
+    # _extend adds each event's postset conditions right after the event, and
+    # after the initial ones: event e's are cond_names[ends[e]:ends[e + 1]]
+    ends = list(accumulate((len(net.postset[t]) for t in ev_label), initial=len(net.initial_marking)))
+    # a condition's one-element set is shared by the events that hold it alone
+    single = [frozenset((c,)) for c in cond_names]
+    unfolding = net_from_arcs(
+        {
+            name: (
+                single[combo[0]] if len(combo) == 1 else frozenset(map(cond_names.__getitem__, combo)),
+                single[a] if b - a == 1 else frozenset(cond_names[a:b]),
             )
-        ),
-        initial_marking=frozenset(cond_names[c] for c, e in enumerate(cond_producer) if e < 0),
+            for name, combo, a, b in zip(ev_names, ev_preset, ends, ends[1:])
+        },
+        places=cond_names,
     )
 
     require_occurrence_net(unfolding)

@@ -20,7 +20,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from orchnet import CarrierSpecs, PreOrchNet, WorkflowNet, induced_preorchnet, unfold
+from orchnet import (
+    CarrierSpecs,
+    FamilyAssignment,
+    PreOrchNet,
+    WorkflowNet,
+    induced_preorchnet,
+    unfold,
+)
 from orchnet.attributes import atom, parse_date
 from orchnet.nets import is_sound, net_from_arcs
 from orchnet.specs import ValueFnSpec, const_latency, const_value_fn
@@ -40,6 +47,12 @@ class GeneratedNet:
     def unfolded_pre(self) -> PreOrchNet:
         result = unfold(self.workflow)
         return induced_preorchnet(result, self.workflow.net, self.specs)
+
+
+def grid_members(pre: PreOrchNet) -> tuple[FamilyAssignment, ...]:
+    """Every member of ``pre``'s grid, in canonical (index) order."""
+    grid = pre.grid_index
+    return tuple(map(grid.member, range(grid.size)))
 
 
 class _Names:

@@ -35,7 +35,7 @@ from orchnet import (
 from orchnet.cli import main as cli_main
 
 from .race_reference import assert_locally_optimal
-from .randnets import random_workflow, standard_corpus
+from .randnets import grid_members, random_workflow, standard_corpus
 
 
 @lru_cache(maxsize=1)
@@ -48,7 +48,7 @@ def _pre(name):
 
 
 def _members_by(pre, cls):
-    return {dict(m.class_values)[cls]: m for m in pre.assignments()}
+    return {dict(m.class_values)[cls]: m for m in grid_members(pre)}
 
 
 def test_01_branch_race_regression():
@@ -67,7 +67,7 @@ def test_01_branch_race_regression():
 def test_02_overlap_cluster_tail_sweep():
     t0 = time.perf_counter()
     pre = _pre("overlap-cluster")
-    members = pre.assignments()
+    members = grid_members(pre)
     assert len(members) == 6
     for member in members:
         chosen = dict(member.class_values)
@@ -266,7 +266,7 @@ def test_08_semantics_invariant_suite():
             cases["unfolding_completeness"] += 1
 
         pre = gen.unfolded_pre()
-        members = pre.assignments()
+        members = grid_members(pre)
         for member in rng.sample(members, k=min(3, len(members))):
             orch = pre.instantiate(member)
             run = execute(orch, 0)

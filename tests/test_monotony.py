@@ -9,7 +9,6 @@ import pytest
 from orchnet import (
     DATE_INF,
     INFINITE_LATENCY,
-    Net,
     NetStructureError,
     OrchNet,
     PreOrchNet,
@@ -35,7 +34,8 @@ from orchnet import (
 
 from orchnet.attributes import value_sort_key
 
-from .randnets import random_workflow
+from .randnets import grid_members, random_workflow
+from .test_sweep_reference import dominates
 
 
 def _built(name):
@@ -78,12 +78,7 @@ def test_equal_postsets_keep_a_racing_cluster_legal():
 
 
 def test_transition_free_clusters_are_vacuous():
-    net = Net(
-        places=frozenset({"p"}),
-        transitions=frozenset(),
-        flow=frozenset(),
-        initial_marking=frozenset({"p"}),
-    )
+    net = net_from_arcs({}, places=("p",))
     report = structural_check(net)
     assert report.satisfied
     assert report.clusters_checked == 0
@@ -131,7 +126,7 @@ def test_branch_race_oracle_finds_the_violation():
     assert report.grid_relative
     assert report.members_checked == 2
     w = report.witness
-    assert w.hi.dominates(w.lo)
+    assert dominates(w.hi, w.lo)
     assert (w.latency_hi, w.latency_lo) == (date_of(6), date_of(8))
 
 
@@ -210,7 +205,7 @@ def test_tie_policy_changes_the_oracle_verdict():
 
 def _branch_race_pair():
     pre = _built("branch-race").pre
-    members = {dict(m.class_values)["b"]: m for m in pre.assignments()}
+    members = {dict(m.class_values)["b"]: m for m in grid_members(pre)}
     lo = pre.instantiate(members[date_of(1)])
     hi = pre.instantiate(members[date_of(3)])
     return lo, hi
@@ -239,7 +234,7 @@ def test_verify_rejects_non_dominating_pairs():
 
 def test_verify_honors_the_declared_tie_policy():
     pre = _tie_sensitive_pre()
-    members = {dict(m.class_values)["a"]: m for m in pre.assignments()}
+    members = {dict(m.class_values)["a"]: m for m in grid_members(pre)}
     lo = pre.instantiate(members[date_of(1)])
     hi = pre.instantiate(members[date_of(2)])
     assert not verify_counterexample(lo, hi, 0, "lex").accepted

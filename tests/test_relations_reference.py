@@ -48,6 +48,7 @@ from orchnet.nets import (
     configuration_of,
     is_causally_closed,
     is_conflict_free,
+    net_from_arcs,
 )
 
 from .race_reference import transition_date
@@ -218,9 +219,10 @@ def ref_future_nodes(rel, kappa):
 # Nets
 
 
-def random_net(rng) -> Net:
+def random_tables(rng):
     """An arbitrary net over up to 14 nodes, acyclic unless a back arc is
-    added.  Ids are drawn so that id order is not the flow order."""
+    added, as ``net_from_arcs`` takes it: its transition tables, places
+    and marking.  Ids are drawn so that id order is not the flow order."""
     size = rng.randint(1, 14)
     ids = [f"n{k:02d}" for k in rng.sample(range(100), size)]
     is_place = {n: rng.random() < 0.5 for n in ids}
@@ -241,12 +243,16 @@ def random_net(rng) -> Net:
     minimal = {p for p in places if not any(d == p for _, d in flow)}
     if rng.random() < 0.1 and places:
         minimal ^= {rng.choice(sorted(places))}
-    return Net(
-        places=places,
-        transitions=frozenset(ids) - places,
-        flow=frozenset(flow),
-        initial_marking=frozenset(minimal),
-    )
+    tables = {
+        t: ([s for s, d in flow if d == t], [d for s, d in flow if s == t])
+        for t in sorted(frozenset(ids) - places)
+    }
+    return tables, places, frozenset(minimal)
+
+
+def random_net(rng) -> Net:
+    tables, places, marking = random_tables(rng)
+    return net_from_arcs(tables, places=places, marking=marking)
 
 
 def random_subsets(rng, net, ref):

@@ -4,10 +4,12 @@ The reference below is the oracle and conditional brute force as they
 were before the mixed-radix grid index and the race kernel: a
 materialised member list sorted by string keys, adjacent raises found by
 re-sorting each grid and looking the raised member up by key, all pairs
-found by filtering every ordered member pair through ``dominates``, and
-each member instantiated as an ``OrchNet`` and raced by ``end_to_end`` or
+found by filtering every ordered member pair by dominance, and each
+member instantiated as an ``OrchNet`` and raced by ``end_to_end`` or
 ``execute_all``.  Every report (verdict, witness, members and pairs
-checked, cap note) must come out equal.
+checked, cap note) must come out equal.  The dominance filter compares
+rank keys read once per member, which are checked against ``dominates``,
+the pointwise order on values.
 """
 
 import random
@@ -16,6 +18,7 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import replace
 from functools import lru_cache
+from operator import ge
 
 import pytest
 
@@ -37,7 +40,7 @@ from orchnet.monotony import ConditionalReport, ConditionalWitness, OracleReport
 from orchnet.specs import GuardOperand, GuardSpec, ValueFnSpec
 from orchnet.timed import FamilyAssignment, RaceKernel, end_to_end, execute_all, summarize_run
 
-from .randnets import random_workflow, standard_corpus
+from .randnets import grid_members, random_workflow, standard_corpus
 from .test_kernel_reference import POOL, random_pre
 
 # ---------------------------------------------------------------------------
@@ -49,6 +52,39 @@ def _sort_key(m: FamilyAssignment):
         tuple((c, v is None, str(v)) for c, v in m.class_values),
         tuple((p, v is None, str(v)) for p, v in m.place_values),
     )
+
+
+def dominates(hi: FamilyAssignment, lo: FamilyAssignment) -> bool:
+    """Whether ``hi`` is at least ``lo`` on every coordinate."""
+    mine = hi.class_values + hi.place_values
+    for (c, v), (c2, v2) in zip(mine, lo.class_values + lo.place_values):
+        assert c == c2
+        if v is None and v2 is None:
+            continue
+        if v is None or v2 is None or v < v2:
+            return False
+    return True
+
+
+def rank_keys(pre: PreOrchNet, members) -> list[tuple[int, ...]]:
+    """Per member, the rank of each coordinate's value in its coordinate's
+    sorted grid, or 0 where the coordinate has no grid: a member dominates
+    another exactly when none of its ranks is lower."""
+    class_rank = {c: {v: r for r, v in enumerate(sorted(g))} for c, g in pre.class_grid.items()}
+    place_rank = {p: {v: r for r, v in enumerate(sorted(g))} for p, g in pre.place_grid.items()}
+    return [
+        tuple(0 if v is None else class_rank[c][v] for c, v in m.class_values)
+        + tuple(0 if v is None else place_rank[p][v] for p, v in m.place_values)
+        for m in members
+    ]
+
+
+def assert_rank_keys_are_dominance(pre: PreOrchNet) -> None:
+    members = ref_assignments(pre)
+    keys = rank_keys(pre, members)
+    for hi, hi_key in zip(members, keys):
+        for lo, lo_key in zip(members, keys):
+            assert all(map(ge, hi_key, lo_key)) == dominates(hi, lo)
 
 
 def ref_member(pre: PreOrchNet, member: FamilyAssignment):
@@ -106,6 +142,7 @@ def _ref_adjacent_raises(pre: PreOrchNet, member: FamilyAssignment):
 
 def ref_oracle(pre, tie_break="lex", mode="all_pairs", eval_cap=1_000_000) -> OracleReport:
     members = ref_assignments(pre)
+    keys = rank_keys(pre, members)
     budget = {"left": eval_cap}
     memo = {}
 
@@ -154,9 +191,9 @@ def ref_oracle(pre, tie_break="lex", mode="all_pairs", eval_cap=1_000_000) -> Or
 
     try:
         if mode == "all_pairs":
-            for hi_idx in range(len(members)):
-                for lo_idx in range(len(members)):
-                    if hi_idx == lo_idx or not members[hi_idx].dominates(members[lo_idx]):
+            for hi_idx, hi_key in enumerate(keys):
+                for lo_idx, lo_key in enumerate(keys):
+                    if hi_idx == lo_idx or not all(map(ge, hi_key, lo_key)):
                         continue
                     witness = compare_pair(hi_idx, lo_idx)
                     if witness is not None:
@@ -177,6 +214,7 @@ def ref_conditional_brute(pre, eval_cap=1_000_000) -> ConditionalReport:
     """The lex brute-force branch of ``conditional_monotony_check``; the
     witness values are ordered by ``value_sort_key``."""
     members = ref_assignments(pre)
+    keys = rank_keys(pre, members)
     budget = {"left": eval_cap}
     memo = {}
 
@@ -190,9 +228,9 @@ def ref_conditional_brute(pre, eval_cap=1_000_000) -> ConditionalReport:
         return memo[key]
 
     try:
-        for hi_idx in range(len(members)):
-            for lo_idx in range(len(members)):
-                if hi_idx == lo_idx or not members[hi_idx].dominates(members[lo_idx]):
+        for hi_idx, hi_key in enumerate(keys):
+            for lo_idx, lo_key in enumerate(keys):
+                if hi_idx == lo_idx or not all(map(ge, hi_key, lo_key)):
                     continue
                 for omega in range(pre.omega_count):
                     hi_res = result_of(hi_idx, omega)
@@ -279,7 +317,9 @@ def test_corpus_reports_match_the_reference():
         if members > 16384:
             continue
         with shared_races():
-            assert pre.assignments() == ref_assignments(pre), name
+            assert grid_members(pre) == ref_assignments(pre), name
+            if members <= 64:
+                assert_rank_keys_are_dominance(pre)
             got = brute_force_monotony(pre, mode="adjacent")
             assert got == ref_oracle(pre, mode="adjacent"), name
             checked["adjacent"] += 1
@@ -339,7 +379,8 @@ ODD_GRIDS = [
 @pytest.mark.parametrize("grids", ODD_GRIDS)
 def test_odd_grids_match_the_reference_in_every_mode(grids):
     pre = _odd_grid_pre(*grids)
-    assert pre.assignments() == ref_assignments(pre)
+    assert grid_members(pre) == ref_assignments(pre)
+    assert_rank_keys_are_dominance(pre)
     for mode in ("adjacent", "all_pairs"):
         assert brute_force_monotony(pre, mode=mode) == ref_oracle(pre, mode=mode)
     assert brute_force_monotony(pre, tie_break="all") == ref_oracle(pre, tie_break="all")
@@ -348,7 +389,7 @@ def test_odd_grids_match_the_reference_in_every_mode(grids):
 
 def test_odd_grids_put_ten_before_two():
     pre = _odd_grid_pre(("2", "10"), ("3",))
-    firsts = [dict(m.class_values)["a"] for m in pre.assignments()]
+    firsts = [dict(m.class_values)["a"] for m in grid_members(pre)]
     assert [str(v) for v in firsts] == ["10", "10", "2", "2"]
 
 

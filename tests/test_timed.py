@@ -43,7 +43,8 @@ from orchnet import timed
 from orchnet.specs import LatencyExpr
 
 from .race_reference import assert_locally_optimal
-from .randnets import random_workflow
+from .randnets import grid_members, random_workflow
+from .test_sweep_reference import dominates
 
 
 def _orch(arcs, latency, omega_count=1, guard=None, initial_date=None):
@@ -370,7 +371,7 @@ def test_compare_families_expression_latencies():
 
 def test_assignments_enumerate_the_grid_product():
     pre = build(load_corpus("branch-race")).pre
-    members = pre.assignments()
+    members = grid_members(pre)
     assert len(members) == pre.member_count() == 2
     latencies = sorted(
         str(pre.instantiate(m).latency["b"].value_at(0)) for m in members
@@ -386,13 +387,13 @@ def test_baseline_keeps_declared_specs():
 
 def test_dominates_is_the_componentwise_order():
     pre = build(load_corpus("choice-join")).pre
-    members = pre.assignments()
+    members = grid_members(pre)
     top = max(members, key=lambda m: sum(1 for _, v in m.class_values if v == date_of(5)))
     bottom = min(members, key=lambda m: sum(1 for _, v in m.class_values if v == date_of(5)))
     assert all(v == date_of(5) for _, v in top.class_values)
-    assert top.dominates(bottom)
-    assert not bottom.dominates(top)
-    assert top.dominates(top)
+    assert dominates(top, bottom)
+    assert not dominates(bottom, top)
+    assert dominates(top, top)
 
 
 def test_replace_class_latency_swaps_one_declared_spec():
@@ -407,7 +408,7 @@ def test_instantiate_maps_grid_values_to_const_specs():
     from orchnet import FamilyAssignment
 
     pre = build(load_corpus("branch-race")).pre
-    member = next(m for m in pre.assignments() if dict(m.class_values)["b"] == date_of(1))
+    member = next(m for m in grid_members(pre) if dict(m.class_values)["b"] == date_of(1))
     orch = pre.instantiate(member)
     assert orch.latency["b"] == const_latency(1)
 
@@ -433,7 +434,7 @@ def test_empty_and_duplicate_grids_are_rejected(bad):
 def test_member_index_decodes_the_canonical_order():
     pre = build(load_corpus("choice-join")).pre
     grid = pre.grid_index
-    members = pre.assignments()
+    members = grid_members(pre)
     assert len(members) == grid.size == pre.member_count() == 256
     assert [grid.member(i) for i in (0, 17, 255)] == [members[0], members[17], members[255]]
     # raising one coordinate moves the index by that coordinate's stride

@@ -82,12 +82,7 @@ def test_node_names_are_canonical_hashes():
 
 
 def test_cyclic_carrier_is_rejected():
-    net = Net(
-        places=frozenset({"p", "q"}),
-        transitions=frozenset({"a", "b"}),
-        flow=frozenset({("p", "a"), ("a", "q"), ("q", "b"), ("b", "p")}),
-        initial_marking=frozenset(),
-    )
+    net = net_from_arcs({"a": (("p",), ("q",)), "b": (("q",), ("p",))}, marking=())
     with pytest.raises(NetStructureError, match="acyclic"):
         unfold(net)
 

@@ -5,9 +5,10 @@ Each round re-enumerates every preset combination of every carrier
 transition, and each pairwise concurrency test compares two causal cones
 and then two causal pasts event by event, until a round adds nothing.
 ``event_limit`` stops it early (``None`` is returned) so that a test can
-skip the draws on which it would run for minutes.  That limit, and caching
-each condition's cone and each pair's concurrency, are the only changes to
-the replaced code.
+skip the draws on which it would run for minutes.  That limit, caching
+each condition's cone and each pair's concurrency, and handing the result
+to ``net_from_arcs`` as per-event tables instead of an arc set are the
+only changes to the replaced code.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import hashlib
 
 from orchnet.errors import NetStructureError
-from orchnet.nets import Net, WorkflowNet, require_occurrence_net
+from orchnet.nets import Net, WorkflowNet, net_from_arcs, require_occurrence_net
 from orchnet.unfolding import Morphism, UnfoldingResult, _check_morphism
 
 
@@ -139,19 +140,13 @@ def ref_unfold(carrier: Net | WorkflowNet, event_limit: int | None = None) -> Un
                     register_condition(p, ename, ev_past)
                 changed = True
 
-    flow: set[tuple[str, str]] = set()
-    for ename, (label, pre) in events.items():
-        for c in pre:
-            flow.add((c, ename))
+    postsets: dict[str, list[str]] = {ename: [] for ename in events}
     for cname, (label, producer) in conditions.items():
         if producer:
-            flow.add((producer, cname))
-
-    unfolding = Net(
-        places=frozenset(conditions),
-        transitions=frozenset(events),
-        flow=frozenset(flow),
-        initial_marking=frozenset(c for c, (_, prod) in conditions.items() if not prod),
+            postsets[producer].append(cname)
+    unfolding = net_from_arcs(
+        {ename: (pre, postsets[ename]) for ename, (label, pre) in events.items()},
+        places=conditions,
     )
     node_map = {c: label for c, (label, _) in conditions.items()}
     node_map.update({e: label for e, (label, _) in events.items()})
