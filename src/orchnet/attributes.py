@@ -2,7 +2,10 @@
 
 Dates are nonnegative exact rationals extended with +infinity.  Race
 outcomes flip on strict comparisons, so no floating point is allowed
-anywhere; every date is a ``fractions.Fraction`` or the infinity sentinel.
+anywhere.  A finite date is held as an ``int`` when it is integral and as
+a ``fractions.Fraction`` only when it is not, so that the common integral
+case compares and adds at integer cost; the race loop in ``timed`` reads
+these same numbers.
 
 Values are the payloads carried by tokens: atoms, exact numbers, or tuples
 of values.  They only need structural equality, hashing, and a canonical
@@ -23,19 +26,28 @@ from .errors import EvaluationError
 class ExtendedDate:
     """A nonnegative exact rational or +infinity.
 
-    ``finite`` is None exactly when the date is infinite.  Addition is
-    absorbing in infinity; comparison places infinity above every finite
-    date and makes it equal only to itself.
+    ``finite`` is None exactly when the date is infinite.  Otherwise it is
+    an ``int`` when the date is integral and a ``Fraction`` (with
+    denominator above 1) when it is not; construction normalises any
+    exact number to that form, so equal dates hold equal ``finite``s.
+    Addition is absorbing in infinity; comparison places infinity above
+    every finite date and makes it equal only to itself.
     """
 
-    finite: Fraction | None
+    finite: int | Fraction | None
 
     def __post_init__(self) -> None:
-        if self.finite is not None:
-            if not isinstance(self.finite, Fraction):
-                object.__setattr__(self, "finite", Fraction(self.finite))
-            if self.finite < 0:
-                raise EvaluationError(f"negative date {self.finite!s} is not allowed")
+        q = self.finite
+        if q is None:
+            return
+        if type(q) is not int:
+            if not isinstance(q, Fraction):
+                q = Fraction(q)
+            if q.denominator == 1:
+                q = q.numerator
+            object.__setattr__(self, "finite", q)
+        if q < 0:
+            raise EvaluationError(f"negative date {q!s} is not allowed")
 
     @property
     def is_finite(self) -> bool:
@@ -47,11 +59,20 @@ class ExtendedDate:
         return ExtendedDate(self.finite + other.finite)
 
     def __lt__(self, other: ExtendedDate) -> bool:
-        if self.finite is None:
+        a = self.finite
+        if a is None:
             return False
-        if other.finite is None:
+        b = other.finite
+        if b is None:
             return True
-        return self.finite < other.finite
+        if type(a) is int:
+            if type(b) is int:
+                return a < b
+            return a * b.denominator < b.numerator
+        # denominators are positive, so cross-multiplying keeps the order
+        if type(b) is int:
+            return a.numerator < b * a.denominator
+        return a.numerator * b.denominator < b.numerator * a.denominator
 
     def __str__(self) -> str:
         return format_date(self)
@@ -60,7 +81,7 @@ class ExtendedDate:
         return f"ExtendedDate({format_date(self)!r})"
 
 
-DATE_ZERO = ExtendedDate(Fraction(0))
+DATE_ZERO = ExtendedDate(0)
 DATE_INF = ExtendedDate(None)
 
 
@@ -70,7 +91,7 @@ def date_of(value: int | str | Fraction) -> ExtendedDate:
         return value
     if isinstance(value, str):
         return parse_date(value)
-    return ExtendedDate(Fraction(value))
+    return ExtendedDate(value if type(value) is int else Fraction(value))
 
 
 def date_max(dates) -> ExtendedDate:

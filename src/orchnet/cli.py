@@ -46,7 +46,7 @@ from .monotony import (
     structural_check,
     synthesize_counterexample,
 )
-from .nets import WorkflowNet, is_sound, net_from_arcs, validate_occurrence_net
+from .nets import WorkflowNet, is_sound, net_from_arcs, occurrence_check
 from .timed import EndToEnd, FamilyAssignment, resolutions
 
 EXIT_OK = 0
@@ -111,7 +111,7 @@ def _cmd_validate(args) -> int:
     report: dict = {"command": "validate", "file": args.file, "kind": doc.kind}
 
     if doc.kind == "occurrence":
-        check = validate_occurrence_net(net)
+        check = occurrence_check(net)
         if not check.ok:
             report["status"] = "invalid-net"
             report["diagnostics"] = [
@@ -120,7 +120,7 @@ def _cmd_validate(args) -> int:
             ]
             _emit(report)
             return EXIT_VIOLATION
-        build(doc)  # attribute placement; raises DocumentError on problems
+        build(doc, net)  # attribute placement; raises DocumentError on problems
         report["status"] = "valid"
         report["conditions"] = [
             "partial_order", "unique_producer", "initial_marking", "no_self_conflict",
@@ -138,7 +138,7 @@ def _cmd_validate(args) -> int:
     verdict = is_sound(wf, marking_cap=args.cap)
     report["markings_explored"] = verdict.markings_explored
     if verdict.status == "sound":
-        build(doc)
+        build(doc, wf)
         report["status"] = "valid"
         report["soundness"] = "sound"
         _emit(report)

@@ -568,14 +568,20 @@ def carrier_specs(doc: NetDocument, carrier: Net | WorkflowNet) -> CarrierSpecs:
     )
 
 
-def build(doc: NetDocument) -> BuiltDocument:
-    """Validate and assemble everything needed to analyze a document."""
-    carrier = build_carrier(doc)
+def build(doc: NetDocument, checked: Net | WorkflowNet | None = None) -> BuiltDocument:
+    """Validate and assemble everything needed to analyze a document.
+
+    ``checked`` is the document's carrier when the caller has built and
+    checked it already: an occurrence net that ``occurrence_check``
+    passed, or a workflow net that ``is_sound`` found sound.  It is then
+    neither rebuilt nor checked again.
+    """
+    carrier = build_carrier(doc) if checked is None else checked
     specs = carrier_specs(doc, carrier)
     net = carrier.net if isinstance(carrier, WorkflowNet) else carrier
     if doc.kind == "workflow":
         try:
-            result = unfold(carrier)
+            result = unfold(carrier, require_sound=checked is None)
         except NetStructureError as exc:
             raise DocumentError([f"workflow: {exc}"]) from exc
     else:

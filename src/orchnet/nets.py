@@ -392,18 +392,21 @@ def validate_occurrence_net(net: Net) -> OccurrenceCheck:
 
 
 @lru_cache(maxsize=512)
-def _validated_relations(net: Net) -> NodeRelations:
-    check = validate_occurrence_net(net)
+def occurrence_check(net: Net) -> OccurrenceCheck:
+    """``validate_occurrence_net(net)``, memoized: family members share one
+    net, so validation and the relation tables are computed once per net,
+    not once per member."""
+    return validate_occurrence_net(net)
+
+
+def require_occurrence_net(net: Net) -> NodeRelations:
+    """The relation tables of ``net``; NetStructureError unless it is an
+    occurrence net."""
+    check = occurrence_check(net)
     if not check.ok:
         msgs = "; ".join(d.message for d in check.diagnostics)
         raise NetStructureError(f"not an occurrence net: {msgs}")
     return check.relations
-
-
-def require_occurrence_net(net: Net) -> NodeRelations:
-    # memoized: family members share one net, so validation and the
-    # relation tables are computed once per net, not once per member
-    return _validated_relations(net)
 
 
 # ---------------------------------------------------------------------------

@@ -609,12 +609,10 @@ INFINITY = _Infinity()
 
 
 def _number(d: ExtendedDate):
-    """A date as the race loop compares it: an int where it is integral, a
-    Fraction otherwise, ``INFINITY`` when infinite."""
+    """A date as the race loop compares it: its ``finite`` (an int where it
+    is integral, a Fraction otherwise), ``INFINITY`` when infinite."""
     q = d.finite
-    if q is None:
-        return INFINITY
-    return q.numerator if q.denominator == 1 else q
+    return INFINITY if q is None else q
 
 
 def _date(x) -> ExtendedDate:

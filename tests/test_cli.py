@@ -156,6 +156,41 @@ def test_validate_undecided_under_a_tiny_cap(capsys):
     assert report["status"] == "undecided"
 
 
+@pytest.mark.parametrize(
+    "name, expected",
+    [
+        (name, {"net_from_arcs": 1, "validate_occurrence_net": 1, "compute_relations": 1})
+        for name in ("branch-race", "channel-grab", "overlap-cluster")
+    ]
+    # the carrier, then its unfolding; soundness once, under --cap
+    + [("choice-join", {"net_from_arcs": 2, "is_sound": 1})],
+)
+def test_validate_builds_and_checks_its_net_once(capsys, monkeypatch, name, expected):
+    import orchnet.nets as nets
+    from orchnet import unfolding
+
+    calls: dict[str, list] = {}
+    modules = [m for n, m in sys.modules.items() if n == "orchnet" or n.startswith("orchnet.")]
+    for fname in ("net_from_arcs", "validate_occurrence_net", "compute_relations", "is_sound"):
+        real = getattr(nets, fname)
+
+        def counting(*args, _real=real, _name=fname, **kwargs):
+            calls.setdefault(_name, []).append(kwargs.get("marking_cap"))
+            return _real(*args, **kwargs)
+
+        # every binding, so that ``from .nets import ...`` elsewhere is counted too
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, counting)
+    nets.occurrence_check.cache_clear()
+    unfolding._unfold.cache_clear()
+    code, report = run_cli(capsys, "validate", f"corpus:{name}", "--cap", "5000")
+    assert (code, report["status"]) == (0, "valid")
+    assert {k: len(calls.get(k, ())) for k in expected} == expected
+    assert calls.get("is_sound", [5000]) == [5000]
+
+
 def test_missing_file_is_an_input_error(capsys):
     code, report = run_cli(capsys, "validate", "no-such-file.net")
     assert code == 2

@@ -490,7 +490,7 @@ def test_synthesis_reuses_the_unfolding_and_its_validation(monkeypatch):
 
     monkeypatch.setattr(nets, "compute_relations", counting)
     unfolding._unfold.cache_clear()
-    nets._validated_relations.cache_clear()
+    nets.occurrence_check.cache_clear()
     gen = random_workflow(random.Random(5), 6, force_diff=True, name="reuse")
     result = unfold(gen.workflow)
     outcome = synthesize_counterexample(gen.workflow, gen.specs, 0)

@@ -112,14 +112,14 @@ def test_require_occurrence_net_computes_relations_once(monkeypatch):
         return real(net)
 
     monkeypatch.setattr(nets, "compute_relations", counting)
-    nets._validated_relations.cache_clear()
+    nets.occurrence_check.cache_clear()
     net = _overlap_cluster()
     rel = require_occurrence_net(net)
     assert len(calls) == 1
     assert (rel.order, rel.choices) == (real(net).order, real(net).choices)
     require_occurrence_net(net)  # memoised per net
     assert len(calls) == 1
-    nets._validated_relations.cache_clear()
+    nets.occurrence_check.cache_clear()
 
 
 # ---------------------------------------------------------------------------
