@@ -8,7 +8,6 @@ denominator 1.
 
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -132,11 +131,3 @@ def test_integral_results_are_ints():
     assert type(product.evaluate((num(2),)).finite) is int
     assert type(product.evaluate((num(1),)).finite) is Fraction
 
-
-def test_a_negative_date_is_rejected_with_the_reference_message():
-    for x in (-1, Fraction(-7, 2), Fraction(-6, 2)):
-        with pytest.raises(EvaluationError) as got:
-            new.ExtendedDate(x)
-        with pytest.raises(EvaluationError) as want:
-            ref.ExtendedDate(x)
-        assert str(got.value) == str(want.value)
