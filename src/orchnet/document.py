@@ -47,7 +47,6 @@ from .specs import (
     LatencySpec,
     ValueFnSpec,
     const_latency,
-    const_value_fn,
     guard_from_json,
     guard_to_json,
     latency_from_json,
@@ -530,7 +529,8 @@ def carrier_specs(doc: NetDocument, carrier: Net | WorkflowNet) -> CarrierSpecs:
     initial_value = {p.id: p.initial_value for p in doc.places if p.initial_value is not None}
     for i, t in enumerate(doc.transitions):
         latency[t.id] = t.latency
-        value_fn[t.id] = t.value_fn if t.value_fn is not None else const_value_fn(atom(t.id))
+        if t.value_fn is not None:
+            value_fn[t.id] = t.value_fn
         if t.guard is not None:
             guard[t.id] = t.guard
             path = f"transitions[{i}].guard"
@@ -591,6 +591,11 @@ def build(doc: NetDocument, checked: Net | WorkflowNet | None = None) -> BuiltDo
     return BuiltDocument(document=doc, carrier=carrier, specs=specs, pre=pre, unfolding=result)
 
 
+def _is_own_atom(value: Value | None, node: str) -> bool:
+    """Whether ``value`` is the atom of ``node``'s id, a node's default."""
+    return value is not None and value.kind == "atom" and value.atom == node
+
+
 def document_from_orchnet(orch: OrchNet, kind: str = "occurrence") -> NetDocument:
     """A replayable document for a concrete member (witness serialization).
 
@@ -603,13 +608,13 @@ def document_from_orchnet(orch: OrchNet, kind: str = "occurrence") -> NetDocumen
         initial_value = None
         if p in net.minimal_places:
             declared = orch.initial_value.get(p)
-            if declared is not None and declared != atom(p):
+            if not _is_own_atom(declared, p):
                 initial_value = declared
         places.append(PlaceDecl(id=p, initial_date=initial_date, initial_value=initial_value))
     transitions = []
     for t in sorted(net.transitions):
-        vf = orch.value_fn[t]
-        if vf == const_value_fn(atom(t)):
+        vf = orch.value_fn.get(t)
+        if vf is not None and vf.kind == "const" and _is_own_atom(vf.const, t):
             vf = None
         transitions.append(
             TransitionDecl(

@@ -24,6 +24,7 @@ value sets; distinct value sets across maximal configurations certify it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import product
 
 from .attributes import DATE_INF, ExtendedDate, Value, date_max, value_sort_key
@@ -71,6 +72,7 @@ class StructuralReport:
     clusters_checked: int
 
 
+@lru_cache(maxsize=512)
 def structural_check(carrier: Net | WorkflowNet) -> StructuralReport:
     """Check that inside every cluster all transitions share one postset.
 
@@ -78,6 +80,10 @@ def structural_check(carrier: Net | WorkflowNet) -> StructuralReport:
     producers there would condemn any real conflict).  An occurrence net
     passed directly is its own unfolding, so its clusters are the ones that
     matter.  Clusters without transitions are vacuous and skipped.
+
+    Memoized per carrier, as ``occurrence_check`` is per net:
+    ``counterexample`` checks its carrier, then ``synthesize_counterexample``
+    checks the same carrier again.
     """
     net = carrier.net if isinstance(carrier, WorkflowNet) else carrier
     violations: list[ClusterViolation] = []

@@ -44,7 +44,14 @@ from .specs import GuardSpec, LatencySpec, ValueFnSpec, const_latency
 
 @dataclass(frozen=True)
 class OrchNet:
-    """An occurrence net with value, latency, guard, and initial-date specs."""
+    """An occurrence net with value, latency, guard, and initial-date specs.
+
+    Every transition has a latency spec and every minimal place an initial
+    date.  A transition without a value function gives the atom of its own
+    id, as a minimal place without an initial value holds the atom of its
+    own id.  An unfolding's family stores the atom of the carrier
+    transition for each event that is not its own carrier transition.
+    """
 
     net: Net
     latency: dict[str, LatencySpec]
@@ -59,7 +66,6 @@ class OrchNet:
         object.__setattr__(self, "_relations", require_occurrence_net(net))
         for specs, nodes, what in (
             (self.latency, net.transitions, "transitions without latency specs"),
-            (self.value_fn, net.transitions, "transitions without value functions"),
             (self.initial_date, net.minimal_places, "minimal places without initial dates"),
         ):
             if not specs.keys() >= nodes:
@@ -83,7 +89,8 @@ class OrchNet:
         """The latency of ``t`` (infinite on a false guard) and its output
         value, on its preset's token values in sorted place order.  The
         value is evaluated first, then the guard, then the latency."""
-        out_value = self.value_fn[t].evaluate(omega, inputs)
+        fn = self.value_fn.get(t)
+        out_value = atom(t) if fn is None else fn.evaluate(omega, inputs)
         guard = self.guard.get(t)
         if guard is not None and not guard.evaluate(inputs):
             return DATE_INF, out_value
@@ -339,7 +346,7 @@ def future(orch: OrchNet, kappa: frozenset[str], omega: int) -> OrchNet:
     return OrchNet(
         net=sub,
         latency={t: orch.latency[t] for t in transitions},
-        value_fn={t: orch.value_fn[t] for t in transitions},
+        value_fn={t: fn for t, fn in orch.value_fn.items() if t in transitions},
         initial_date=initial_date,
         omega_count=orch.omega_count,
         guard={t: g for t, g in orch.guard.items() if t in transitions},
@@ -496,7 +503,7 @@ class PreOrchNet:
     per-class candidate grids instead of being fixed."""
 
     net: Net
-    value_fn: dict[str, ValueFnSpec]
+    value_fn: dict[str, ValueFnSpec]  # default: the atom of the transition's id
     classes: dict[str, frozenset[str]]  # class id -> transitions
     class_spec: dict[str, LatencySpec]  # declared latency per class
     class_grid: dict[str, tuple[ExtendedDate, ...]]  # optional per class
@@ -651,15 +658,26 @@ class _RaceNet:
     def compile(self, i: int) -> None:
         pre, post, number = self.net.preset, self.net.postset, self.number
         t = self.names[i]
-        self.sources[i] = tuple(
-            number[next(iter(pre[p]))] if pre[p] else self.place_source[p] for p in sorted(pre[t])
-        )
-        fed: dict[int, int] = {}
-        for p in post[t]:
-            for c in post[p]:
-                fed[number[c]] = fed.get(number[c], 0) + 1
-        self.feeds[i] = tuple(sorted(fed.items()))
-        self.rivals[i] = tuple(sorted({number[c] for p in pre[t] for c in post[p]} - {i}))
+        if len(pre[t]) == 1:
+            # most transitions: one place, so no set and no merge
+            (p,) = pre[t]
+            self.sources[i] = (number[next(iter(pre[p]))] if pre[p] else self.place_source[p],)
+            self.rivals[i] = tuple(sorted([number[c] for c in post[p] if c != t]))
+        else:
+            self.sources[i] = tuple(
+                number[next(iter(pre[p]))] if pre[p] else self.place_source[p]
+                for p in sorted(pre[t])
+            )
+            self.rivals[i] = tuple(sorted({number[c] for p in pre[t] for c in post[p]} - {i}))
+        if len(post[t]) == 1:
+            (p,) = post[t]
+            self.feeds[i] = tuple(sorted([(number[c], 1) for c in post[p]]))
+        else:
+            fed: dict[int, int] = {}
+            for p in post[t]:
+                for c in post[p]:
+                    fed[number[c]] = fed.get(number[c], 0) + 1
+            self.feeds[i] = tuple(sorted(fed.items()))
 
 
 _race_net = lru_cache(maxsize=4)(_RaceNet)

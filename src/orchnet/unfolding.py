@@ -45,7 +45,7 @@ from .nets import (
     require_occurrence_net,
 )
 from .timed import OrchNet, PreOrchNet
-from .specs import LatencySpec, ValueFnSpec, GuardSpec
+from .specs import LatencySpec, ValueFnSpec, GuardSpec, const_value_fn
 from .attributes import Value, atom
 
 # The unfolding of k differing-postset choices in a row has 4(2^k - 1)
@@ -269,7 +269,7 @@ class CarrierSpecs:
     code, ready to be transferred onto an unfolding."""
 
     latency: dict[str, LatencySpec]
-    value_fn: dict[str, ValueFnSpec]
+    value_fn: dict[str, ValueFnSpec]  # default: the atom of the carrier transition
     initial_date: dict[str, LatencySpec]
     guard: dict[str, GuardSpec] = field(default_factory=dict)
     latency_class: dict[str, str] = field(default_factory=dict)
@@ -298,13 +298,23 @@ def induced_preorchnet(result: UnfoldingResult, carrier: Net, specs: CarrierSpec
     unf = result.unfolding
     phi = result.morphism.node_map
 
+    # an event takes its carrier transition's value function; where that
+    # transition declares none, an event named as it takes the OrchNet
+    # default and any other copy one shared const of the transition's atom
     value_fn: dict[str, ValueFnSpec] = {}
+    defaults: dict[str, ValueFnSpec] = {}
     guard: dict[str, GuardSpec] = {}
     classes: dict[str, set[str]] = {}
     class_spec: dict[str, LatencySpec] = {}
     for e in unf.transitions:
         t = phi[e]
-        value_fn[e] = specs.value_fn[t]
+        fn = specs.value_fn.get(t)
+        if fn is None and e != t:
+            if t not in defaults:
+                defaults[t] = const_value_fn(atom(t))
+            fn = defaults[t]
+        if fn is not None:
+            value_fn[e] = fn
         if t in specs.guard:
             guard[e] = specs.guard[t]
         cls = specs.latency_class.get(t, t)

@@ -18,8 +18,10 @@ times each of them on the first documents of the race-scale stream
 Every document starts cold, as one CLI call would: the package's memo
 tables are emptied before it.  A repeat times all documents once; each
 phase's figure is the median over the repeats of its total, in ms.  A
-separate, untimed pass counts the work: nodes, race steps, and heap
-operations (``timed.heappush`` and ``timed.heappop`` calls).
+separate, untimed pass counts the work: nodes, race steps, heap
+operations (``timed.heappush`` and ``timed.heappop`` calls), value
+functions stored in the family (``value_fns``) and transitions compiled by
+the race (``compiled``, calls of ``timed._RaceNet.compile``).
 
 The result is one column of ``BENCH_race_layers.json``; other columns in
 that file are kept, so two checkouts are compared in one file::
@@ -86,33 +88,34 @@ def one_document(text: str, omega: int, clock) -> tuple[list[float], object]:
     t7 = clock()
     timed.summarize_run(orch, run)
     t8 = clock()
-    return [t1 - t0, t2 - t1, t3 - t2, t4 - t3, t5 - t4, t6 - t5, t7 - t6, t8 - t7], (net, run)
+    return [t1 - t0, t2 - t1, t3 - t2, t4 - t3, t5 - t4, t6 - t5, t7 - t6, t8 - t7], (net, pre, run)
 
 
 def count_work(docs, clear) -> dict:
     from orchnet import timed
 
-    calls = {"heap_ops": 0}
+    work = dict.fromkeys(("nodes", "steps", "heap_ops", "value_fns", "compiled"), 0)
 
-    def counted(fn):
+    def counted(fn, key):
         def wrapper(*args):
-            calls["heap_ops"] += 1
+            work[key] += 1
             return fn(*args)
 
         return wrapper
 
-    push, pop = timed.heappush, timed.heappop
-    timed.heappush, timed.heappop = counted(push), counted(pop)
-    nodes = steps = 0
+    push, pop, compile_ = timed.heappush, timed.heappop, timed._RaceNet.compile
+    timed.heappush, timed.heappop = counted(push, "heap_ops"), counted(pop, "heap_ops")
+    timed._RaceNet.compile = counted(compile_, "compiled")
     try:
         for text, omega in docs:
             clear()
-            _, (net, run) = one_document(text, omega, time.perf_counter)
-            nodes += len(net.places) + len(net.transitions)
-            steps += len(run.step_order)
+            _, (net, pre, run) = one_document(text, omega, time.perf_counter)
+            work["nodes"] += len(net.places) + len(net.transitions)
+            work["steps"] += len(run.step_order)
+            work["value_fns"] += len(pre.value_fn)
     finally:
-        timed.heappush, timed.heappop = push, pop
-    return {"nodes": nodes, "steps": steps, "heap_ops": calls["heap_ops"]}
+        timed.heappush, timed.heappop, timed._RaceNet.compile = push, pop, compile_
+    return work
 
 
 def main(argv=None) -> int:

@@ -11,7 +11,8 @@ returns is the only change to it.  ``ref_latency`` and
 ``assert_locally_optimal`` are checks built on the same slow path.
 ``transition_date`` dates one transition from its preset's dates and
 values; ``tests/test_relations_reference.py`` builds its reference of
-``eval_dates`` on it too.
+``eval_dates`` on it too.  ``compiled_tables`` is the general rule that
+``_RaceNet.compile`` shortens for one-place presets and postsets.
 """
 
 from __future__ import annotations
@@ -169,3 +170,19 @@ def assert_locally_optimal(orch, run) -> int:
             values[n] = v
     assert not finite_enabled()
     return len(run.step_order)
+
+
+def compiled_tables(rn, i):
+    """The ``sources``, ``feeds`` and ``rivals`` that ``_RaceNet.compile(i)``
+    gives transition i, by the general rule for any preset and postset."""
+    pre, post, number = rn.net.preset, rn.net.postset, rn.number
+    t = rn.names[i]
+    sources = tuple(
+        number[next(iter(pre[p]))] if pre[p] else rn.place_source[p] for p in sorted(pre[t])
+    )
+    fed: dict[int, int] = {}
+    for p in post[t]:
+        for c in post[p]:
+            fed[number[c]] = fed.get(number[c], 0) + 1
+    rivals = tuple(sorted({number[c] for p in pre[t] for c in post[p]} - {i}))
+    return sources, tuple(sorted(fed.items())), rivals

@@ -463,6 +463,34 @@ def test_counterexample_synthesizes_and_replays(capsys):
     assert str(verdict.latency_hi) == report["verification"]["latency_hi"]
 
 
+def test_counterexample_checks_the_carrier_structure_once(capsys, monkeypatch):
+    import orchnet.monotony as monotony
+    import orchnet.nets as nets
+    from orchnet import unfolding
+
+    nets_seen: list = []
+    real = nets.clusters
+
+    def counting(net):
+        nets_seen.append(net)
+        return real(net)
+
+    # every binding, so that ``from .nets import clusters`` elsewhere is counted too
+    for name, module in list(sys.modules.items()):
+        if name == "orchnet" or name.startswith("orchnet."):
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, counting)
+    monotony.structural_check.cache_clear()
+    unfolding._unfold.cache_clear()
+    code, report = run_cli(capsys, "counterexample", "corpus:channel-grab", "--omega", "0")
+    assert (code, report["outcome"]) == (1, "non_monotonic")
+    # the carrier's clusters for the structural check, then the unfolding's
+    carrier = build(loads(corpus_text("channel-grab"))).carrier_net
+    assert len(nets_seen) == 2
+    assert nets_seen[0] == carrier and nets_seen[1] != carrier
+
+
 def test_counterexample_witnesses_keep_a_declared_initial_value(capsys, tmp_path):
     doc = json.loads(corpus_text("channel-grab"))
     seven = {"kind": "num", "value": "7"}

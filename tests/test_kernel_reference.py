@@ -40,7 +40,13 @@ from orchnet.specs import (
 )
 from orchnet.timed import _date
 
-from .race_reference import ref_execute, ref_execute_all, ref_latency, ref_run_values
+from .race_reference import (
+    compiled_tables,
+    ref_execute,
+    ref_execute_all,
+    ref_latency,
+    ref_run_values,
+)
 from .randnets import random_workflow, standard_corpus
 
 
@@ -89,6 +95,21 @@ def assert_members_match(pre: PreOrchNet, indices) -> Counter:
 @lru_cache(maxsize=1)
 def _corpus_pres():
     return tuple((gen.name, gen.unfolded_pre()) for gen in standard_corpus(total=200))
+
+
+def test_the_race_compiles_each_transition_by_the_general_rule():
+    # one-place presets and postsets take a shorter path in ``compile``
+    pres = [pre for _, pre in _corpus_pres()]
+    pres += [build(load_corpus(name)).pre for name in ("branch-race", "channel-grab")]
+    presets, postsets = set(), set()
+    for pre in pres:
+        rn = pre.kernel.race_net
+        for i, t in enumerate(rn.names):
+            want = compiled_tables(rn, i)
+            assert (rn.sources[i], rn.feeds[i], rn.rivals[i]) == want, t
+            presets.add(len(pre.net.preset[t]))
+            postsets.add(len(pre.net.postset[t]))
+    assert {1, 2} <= presets and {1, 2} <= postsets  # both paths of each
 
 
 def test_sampled_corpus_members_match():

@@ -495,13 +495,17 @@ def test_orchnet_names_the_nodes_without_specs_in_sorted_order():
     }
     for key, message in (
         ("latency", "transitions without latency specs: ['a', 'b']"),
-        ("value_fn", "transitions without value functions: ['a', 'b']"),
         ("initial_date", "minimal places without initial dates: ['p']"),
     ):
         with pytest.raises(NetStructureError) as err:
             OrchNet(net=net, **{**full, key: {}})
         assert str(err.value) == message
     assert OrchNet(net=net, **full).initial_value == {"p": atom("p")}
+    # a transition without a value function gives the atom of its own id
+    bare = OrchNet(net=net, **{**full, "value_fn": {}})
+    assert eval_dates(bare, 0, net.nodes).values == {
+        "p": atom("p"), "b": atom("b"), "q": atom("b"), "a": atom("a"), "r": atom("a")
+    }
 
 
 def test_orchnet_leaves_the_initial_value_dict_it_was_given_unchanged():
