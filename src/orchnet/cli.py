@@ -294,6 +294,10 @@ def _cmd_oracle(args) -> int:
 def _cmd_counterexample(args) -> int:
     doc = _load_document(args.file)
     built = build(doc)
+    if not 0 <= args.omega < built.pre.omega_count:
+        raise DocumentError(
+            [f"omega {args.omega} out of range; document declares {built.pre.omega_count} scenarios"]
+        )
     structural = structural_check(built.carrier)
     report: dict = {
         "command": "counterexample",

@@ -355,16 +355,15 @@ def validate_occurrence_net(net: Net) -> OccurrenceCheck:
             )
         )
 
-    for p in sorted(net.places):
-        producers = net.preset[p]
-        if len(producers) > 1:
-            diags.append(
-                Diagnostic(
-                    condition="unique_producer",
-                    witness=(p, *sorted(producers)),
-                    message=f"place {p!r} has {len(producers)} producers",
-                )
+    pre = net.preset
+    for p in sorted(p for p in net.places if len(pre[p]) > 1):
+        diags.append(
+            Diagnostic(
+                condition="unique_producer",
+                witness=(p, *sorted(pre[p])),
+                message=f"place {p!r} has {len(pre[p])} producers",
             )
+        )
 
     minimal = net.minimal_places
     if net.initial_marking != minimal:
@@ -426,42 +425,35 @@ def clusters(net: Net) -> tuple[Cluster, ...]:
     A set is closed when it contains the preset of each of its transitions
     and every consumer of each of its places.  Since "p in preset of t" and
     "t consumes p" are the same arcs read both ways, the minimal closed sets
-    are the connected components of the place-to-consumer incidence graph.
+    are the connected components of the place-to-consumer incidence graph,
+    each found in one traversal and given in the order of its least node.
     Components without transitions are degenerate (unconsumed places).
     """
-    parent: dict[str, str] = {n: n for n in net.nodes}
-
-    def find(x: str) -> str:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a: str, b: str) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
+    pre, post = net.preset, net.postset
+    seen: set[str] = set()
+    found: list[Cluster] = []
     for t in net.transitions:
-        for p in net.preset[t]:
-            union(p, t)
-
-    groups: dict[str, set[str]] = {}
-    for n in net.nodes:
-        groups.setdefault(find(n), set()).add(n)
-
-    result = []
-    for members in groups.values():
-        ms = frozenset(members)
-        result.append(
-            Cluster(
-                nodes=ms,
-                transitions=ms & net.transitions,
-                places=ms & net.places,
-            )
-        )
-    result.sort(key=lambda c: min(c.nodes))
-    return tuple(result)
+        if t in seen:
+            continue
+        seen.add(t)
+        ps, ts = [], [t]
+        todo = [t]
+        while todo:
+            for p in pre[todo.pop()]:
+                if p not in seen:
+                    seen.add(p)
+                    ps.append(p)
+                    for u in post[p]:  # its consumers
+                        if u not in seen:
+                            seen.add(u)
+                            ts.append(u)
+                            todo.append(u)
+        found.append(Cluster(nodes=frozenset(ps + ts), transitions=frozenset(ts), places=frozenset(ps)))
+    for p in net.places - seen:  # consumed by no transition
+        alone = frozenset((p,))
+        found.append(Cluster(nodes=alone, transitions=_EMPTY, places=alone))
+    found.sort(key=lambda c: min(c.nodes))
+    return tuple(found)
 
 
 # ---------------------------------------------------------------------------
@@ -779,16 +771,25 @@ def is_sound(wf: WorkflowNet, marking_cap: int = 1_000_000) -> SoundnessVerdict:
     reachable marking can still mark the sink), proper completion (a marking
     containing the sink is exactly the sink), and absence of dead
     transitions.  Exceeding ``marking_cap`` yields status "undecided".
+
+    The walk is breadth-first.  At each marking only the consumers of its
+    places, and the transitions with an empty preset, are tried, in sorted
+    order; option to complete is one backward pass over the predecessor
+    edges from the markings that hold the sink.
     """
     net = wf.net
+    pre, post = net.preset, net.postset
+    presetless = [t for t in net.transitions if not pre[t]]
     start = frozenset({wf.source})
-    seen: dict[frozenset[str], list[tuple[str, frozenset[str]]]] = {start: []}
-    queue = [start]
+    number = {start: 0}  # marking -> its place in the walk
+    markings = [start]
+    preds: list[list[int]] = [[]]  # per marking, the markings one step before it
     fired_somewhere: set[str] = set()
     issues: list[SoundnessIssue] = []
 
-    while queue:
-        if len(seen) > marking_cap:
+    i = 0  # FIFO: markings[i:] are waiting
+    while i < len(markings):
+        if len(markings) > marking_cap:
             return SoundnessVerdict(
                 status="undecided",
                 issues=(
@@ -797,15 +798,17 @@ def is_sound(wf: WorkflowNet, marking_cap: int = 1_000_000) -> SoundnessVerdict:
                         message=f"marking exploration exceeded cap {marking_cap}",
                     ),
                 ),
-                markings_explored=len(seen),
+                markings_explored=len(markings),
             )
-        marking = queue.pop(0)
-        succs = seen[marking]
-        for t in sorted(net.transitions):
-            if not net.preset[t] <= marking:
+        marking = markings[i]
+        candidates = set(presetless)
+        for p in marking:
+            candidates.update(post.get(p, _EMPTY))
+        for t in sorted(candidates):
+            if not pre[t] <= marking:
                 continue
-            residue = marking - net.preset[t]
-            collision = residue & net.postset[t]
+            residue = marking - pre[t]
+            collision = residue & post[t]
             if collision:
                 issues.append(
                     SoundnessIssue(
@@ -816,45 +819,48 @@ def is_sound(wf: WorkflowNet, marking_cap: int = 1_000_000) -> SoundnessVerdict:
                     )
                 )
                 continue
-            nxt = residue | net.postset[t]
+            nxt = residue | post[t]
             fired_somewhere.add(t)
-            succs.append((t, nxt))
-            if nxt not in seen:
-                seen[nxt] = []
-                queue.append(nxt)
+            j = number.get(nxt)
+            if j is None:
+                j = number[nxt] = len(markings)
+                markings.append(nxt)
+                preds.append([])
+            preds[j].append(i)
+        i += 1
 
     if issues:
         # an unsafe net is outside the class this check decides
-        return SoundnessVerdict(status="unsound", issues=tuple(issues), markings_explored=len(seen))
+        return SoundnessVerdict(status="unsound", issues=tuple(issues), markings_explored=len(markings))
 
-    # option to complete: propagate "can reach a sink-marked marking" backwards
-    good = {m for m in seen if wf.sink in m}
-    changed = True
-    while changed:
-        changed = False
-        for m, succs in seen.items():
-            if m not in good and any(nxt in good for _, nxt in succs):
-                good.add(m)
-                changed = True
-    for m in sorted(seen, key=lambda m: tuple(sorted(m))):
-        if m not in good:
-            issues.append(
-                SoundnessIssue(
-                    kind="cannot_complete",
-                    marking=tuple(sorted(m)),
-                    message=f"marking {sorted(m)} cannot reach the sink {wf.sink!r}",
-                )
+    # option to complete: "can reach a sink-marked marking", backwards
+    finished = [j for j, m in enumerate(markings) if wf.sink in m]
+    good = [False] * len(markings)
+    for j in finished:
+        good[j] = True
+    todo = finished[:]
+    while todo:
+        for k in preds[todo.pop()]:
+            if not good[k]:
+                good[k] = True
+                todo.append(k)
+    for key in sorted(tuple(sorted(m)) for m, ok in zip(markings, good) if not ok):
+        issues.append(
+            SoundnessIssue(
+                kind="cannot_complete",
+                marking=key,
+                message=f"marking {list(key)} cannot reach the sink {wf.sink!r}",
             )
+        )
 
-    for m in sorted(seen, key=lambda m: tuple(sorted(m))):
-        if wf.sink in m and m != frozenset({wf.sink}):
-            issues.append(
-                SoundnessIssue(
-                    kind="improper_completion",
-                    marking=tuple(sorted(m)),
-                    message=f"marking {sorted(m)} contains the sink alongside other tokens",
-                )
+    for key in sorted(tuple(sorted(markings[j])) for j in finished if len(markings[j]) > 1):
+        issues.append(
+            SoundnessIssue(
+                kind="improper_completion",
+                marking=key,
+                message=f"marking {list(key)} contains the sink alongside other tokens",
             )
+        )
 
     for t in sorted(net.transitions - fired_somewhere):
         issues.append(
@@ -866,4 +872,4 @@ def is_sound(wf: WorkflowNet, marking_cap: int = 1_000_000) -> SoundnessVerdict:
         )
 
     status = "sound" if not issues else "unsound"
-    return SoundnessVerdict(status=status, issues=tuple(issues), markings_explored=len(seen))
+    return SoundnessVerdict(status=status, issues=tuple(issues), markings_explored=len(markings))

@@ -10,12 +10,16 @@ labels match its preset exactly, and each event gets fresh postset
 conditions.  Acyclic carriers give finite unfoldings, so no cutoff
 criterion is needed; ``EVENT_CAP`` bounds their exponential growth.
 
-Concurrency is read off choice maps, as in ``nets.compute_relations``:
-each node maps every choice condition in its causal past to its consumer
-there.  A condition is a choice when two carrier transitions consume its
-label, or two events of one transition consume it; both are known by the
-time its consumers are built.  Conditions are concurrent when their maps
-agree and none is a key in another's map.
+Concurrency is kept in co-set tables, as in the possible-extensions
+algorithms of Esparza and Heljanko (*Unfoldings: A Partial-Order Approach
+to Model Checking*, 2008, ch. 4): each condition holds the set of
+conditions concurrent with it.  An event's postset conditions are
+concurrent with each other and with every condition concurrent with all
+of its preset, and each of those learns of them in turn.  A transition's
+co-sets are found by cutting each candidate list down to the conditions
+concurrent with those already chosen.  A condition whose label no
+transition still to be taken consumes is never a candidate again, so it
+is left out of the co-sets built after that.
 
 Node names are canonical content hashes: an event is named from its label
 and the sorted names of its preset conditions, a condition from its label
@@ -40,7 +44,6 @@ from .nets import (
     WorkflowNet,
     _topological_order,
     is_sound,
-    merge_choices,
     net_from_arcs,
     require_occurrence_net,
 )
@@ -137,63 +140,80 @@ def _extend(net: Net, order: list[str]):
     pre, post = net.preset, net.postset
     cond_label: list[str] = []
     cond_producer: list[int] = []
-    cond_map: list[dict[int, int]] = []  # choice condition -> its consumer
-    by_place: dict[str, list[int]] = {}
+    co: list[set[int]] = []  # per condition, the live conditions concurrent with it
+    by_place: dict[str, list[int]] = {p: [] for p in net.places}
     ev_label: list[str] = []
     ev_preset: list[tuple[int, ...]] = []
+    # a condition is live while a transition not yet taken consumes its
+    # label; co-sets are read only for live conditions, so they hold no other
+    waiting = {p: len(post[p]) for p in net.places}
+    live: set[int] = set()
 
-    def add_condition(label: str, producer: int, choices: dict[int, int]) -> None:
-        by_place.setdefault(label, []).append(len(cond_label))
-        cond_label.append(label)
-        cond_producer.append(producer)
-        cond_map.append(choices)
+    def add_conditions(labels: list[str], producer: int, concurrent: set[int]) -> None:
+        """One condition per label, concurrent with each other and with the
+        live conditions of ``concurrent``, which is handed over."""
+        new = []
+        for label in labels:
+            c = len(cond_label)
+            by_place[label].append(c)
+            cond_label.append(label)
+            cond_producer.append(producer)
+            if waiting[label]:
+                new.append(c)
+        if len(labels) == 1:
+            co.append(concurrent)
+        else:
+            for c in range(len(co), len(cond_label)):
+                mine = concurrent.union(new)
+                mine.discard(c)
+                co.append(mine)
+        if new:
+            for d in concurrent:
+                co[d].update(new)
+            live.update(new)
 
-    for p in sorted(net.initial_marking):
-        add_condition(p, -1, {})
+    add_conditions(sorted(net.initial_marking), -1, set())
     for t in order:
-        candidates = [by_place.get(p, ()) for p in sorted(pre[t])]
-        found = list(_cosets(candidates, cond_map, len(ev_label)))
-        # a condition is a choice when another transition consumes its
-        # label too, or when two events of t consume it; all of t's events
-        # exist from here on
-        uses = Counter(c for combo, _ in found for c in combo)
-        for combo, merged in found:
-            e = len(ev_label)
-            own = [(c, e) for c in combo if len(post[cond_label[c]]) > 1 or uses[c] > 1]
-            choices = merge_choices((merged,), own)[0]
+        ps = sorted(pre[t])
+        candidates = [by_place[p] for p in ps]
+        labels = sorted(post[t])
+        for combo in list(_cosets(candidates, co, len(ev_label))):
             ev_label.append(t)
             ev_preset.append(combo)
-            for p in sorted(post[t]):
-                add_condition(p, e, choices)
+            # concurrent with all of the preset (with no preset, with every
+            # live condition)
+            add_conditions(labels, len(ev_label) - 1, live.intersection(*[co[c] for c in combo]))
+        for p in ps:
+            waiting[p] -= 1
+            if not waiting[p]:
+                live.difference_update(by_place[p])
     return cond_label, cond_producer, ev_label, ev_preset
 
 
-def _cosets(candidates, cond_map, events: int):
+def _cosets(candidates, co, events: int):
     """Every choice of one condition per candidate list whose conditions
-    are pairwise concurrent, with the union of their choice maps.
+    are pairwise concurrent.
 
-    ``events`` is the number of events built so far, for the cap.
+    Each candidate list is cut down to the conditions concurrent with every
+    one chosen before it.  ``events`` is the number of events built so far,
+    for the cap.
     """
     found = events
-    stack: list[tuple[int, tuple[int, ...], dict[int, int]]] = [(0, (), {})]
+    last = len(candidates) - 1
+    stack: list[tuple[int, tuple[int, ...], set[int] | None]] = [(0, (), None)]
     while stack:
-        i, combo, union = stack.pop()
-        if i == len(candidates):
+        i, combo, allowed = stack.pop()
+        if i > last:
             found += 1
             if found > EVENT_CAP:
                 raise CapExceededError(f"unfolding exceeded the event cap {EVENT_CAP}")
-            yield combo, union
+            yield combo
             continue
         for c in candidates[i]:
-            mine = cond_map[c]
-            if not combo:
-                stack.append((i + 1, (c,), mine))
-                continue
-            if c in union or any(x in mine for x in combo):
-                continue  # causally ordered
-            merged, clash = merge_choices((union, mine))
-            if not clash:
-                stack.append((i + 1, combo + (c,), merged))
+            if allowed is None:
+                stack.append((i + 1, (c,), co[c]))
+            elif c in allowed:
+                stack.append((i + 1, combo + (c,), allowed & co[c] if i < last else None))
 
 
 def _names(net: Net, order, cond_label, cond_producer, ev_label, ev_preset):
@@ -236,8 +256,11 @@ def _label_names(label: str, keys: list[str]) -> list[str]:
     """``label~digest`` per key: 8 hex characters of the SHA-1 of
     ``label|key``, or 16 where two keys share the 8-character digest."""
     digests = [hashlib.sha1(f"{label}|{key}".encode("utf-8")).hexdigest() for key in keys]
-    short = Counter(d[:8] for d in digests)
-    return [f"{label}~{d[:8] if short[d[:8]] == 1 else d[:16]}" for d in digests]
+    names = [f"{label}~{d[:8]}" for d in digests]
+    if len(set(names)) == len(names):
+        return names
+    short = Counter(names)
+    return [n if short[n] == 1 else f"{label}~{d[:16]}" for n, d in zip(names, digests)]
 
 
 def _check_morphism(unfolding: Net, carrier: Net, node_map: Mapping[str, str]) -> None:
@@ -246,11 +269,17 @@ def _check_morphism(unfolding: Net, carrier: Net, node_map: Mapping[str, str]) -
     for node, image in node_map.items():
         if (node in unfolding.places) != (image in carrier.places):
             raise NetStructureError(f"morphism does not preserve node kind at {node!r}")
+    # a carrier preset or postset has no duplicates, so equal sizes and equal
+    # image sets make a bijection
     for e in unfolding.transitions:
         t = node_map[e]
-        pre_image = sorted(node_map[c] for c in unfolding.preset[e])
-        post_image = sorted(node_map[c] for c in unfolding.postset[e])
-        if pre_image != sorted(carrier.preset[t]) or post_image != sorted(carrier.postset[t]):
+        pre, post = unfolding.preset[e], unfolding.postset[e]
+        if (
+            len(pre) != len(carrier.preset[t])
+            or len(post) != len(carrier.postset[t])
+            or {node_map[c] for c in pre} != carrier.preset[t]
+            or {node_map[c] for c in post} != carrier.postset[t]
+        ):
             raise NetStructureError(f"morphism is not a local bijection at event {e!r}")
     carrier_min = {node_map[c] for c in unfolding.minimal_places}
     if carrier_min != set(carrier.initial_marking) or len(unfolding.minimal_places) != len(

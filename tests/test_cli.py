@@ -506,6 +506,20 @@ def test_counterexample_witnesses_keep_a_declared_initial_value(capsys, tmp_path
         assert ch["initial_value"] == seven
 
 
+@pytest.mark.parametrize(
+    "name, omega, scenarios",
+    [("choice-join", 9, 1), ("choice-join", -3, 1), ("channel-grab", 7, 2)],
+)
+def test_counterexample_rejects_an_omega_out_of_range(capsys, name, omega, scenarios):
+    # as simulate and check-global do, whether or not the structure holds
+    code, report = run_cli(capsys, "counterexample", f"corpus:{name}", "--omega", str(omega))
+    assert code == 2
+    assert report["error"] == {
+        "kind": "document",
+        "problems": [f"omega {omega} out of range; document declares {scenarios} scenarios"],
+    }
+
+
 def test_counterexample_hard_class_is_undecided(capsys):
     code, report = run_cli(capsys, "counterexample", "corpus:overlap-cluster", "--omega", "0")
     assert code == 3

@@ -28,6 +28,7 @@ from orchnet.attributes import atom
 from orchnet.cli import main
 
 from .randnets import random_workflow
+from .unfold_reference import ref_unfold
 import random
 
 
@@ -159,6 +160,17 @@ def test_no_two_events_share_label_and_preset():
             key = (result.morphism[e], frozenset(unf.preset[e]))
             assert key not in seen
             seen.add(key)
+
+
+@pytest.mark.parametrize("name", ["e", "z"], ids=["before", "after"])
+def test_an_event_without_preset_is_concurrent_with_every_condition(name):
+    # the q-condition has no past, so b joins it with the p-condition, whether
+    # the presetless transition is taken before a or after it
+    net = net_from_arcs({"a": (("i",), ("p",)), name: ((), ("q",)), "b": (("p", "q"), ("r",))})
+    result = unfold(net)
+    ref = ref_unfold(net)
+    assert (result.unfolding, result.morphism) == (ref.unfolding, ref.morphism)
+    assert sorted(result.morphism[e] for e in result.unfolding.transitions) == sorted(["a", "b", name])
 
 
 # ---------------------------------------------------------------------------
