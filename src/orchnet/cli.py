@@ -28,6 +28,7 @@ from .document import (
     build,
     build_carrier,
     document_from_orchnet,
+    document_net,
     document_to_json,
     load,
     load_corpus,
@@ -46,7 +47,7 @@ from .monotony import (
     structural_check,
     synthesize_counterexample,
 )
-from .nets import WorkflowNet, is_sound, net_from_arcs, occurrence_check
+from .nets import WorkflowNet, is_sound, occurrence_check
 from .timed import EndToEnd, FamilyAssignment, resolutions
 
 EXIT_OK = 0
@@ -104,10 +105,7 @@ def _assignment_report(fa: FamilyAssignment) -> dict:
 
 def _cmd_validate(args) -> int:
     doc = _load_document(args.file)
-    net = net_from_arcs(
-        {t.id: (set(t.pre), set(t.post)) for t in doc.transitions},
-        places={p.id for p in doc.places},
-    )
+    net = document_net(doc)
     report: dict = {"command": "validate", "file": args.file, "kind": doc.kind}
 
     if doc.kind == "occurrence":

@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from importlib import resources
+from typing import NamedTuple
 
 from .attributes import (
     ExtendedDate,
@@ -60,15 +61,18 @@ from .unfolding import CarrierSpecs, Morphism, UnfoldingResult, induced_preorchn
 FORMAT_VERSION = 1
 
 
-@dataclass(frozen=True)
-class PlaceDecl:
+# Declarations are tuples, built once per node of a document: equality,
+# hash and ``repr`` are those of frozen dataclasses with these fields, and
+# ``_replace`` makes a changed copy.
+
+
+class PlaceDecl(NamedTuple):
     id: str
     initial_date: LatencySpec | None = None
     initial_value: Value | None = None
 
 
-@dataclass(frozen=True)
-class TransitionDecl:
+class TransitionDecl(NamedTuple):
     id: str
     pre: tuple[str, ...]
     post: tuple[str, ...]
@@ -194,7 +198,8 @@ def _parse_places(node: object, omega_count: int, problems: list[str]) -> tuple[
             found = []
             initial_value = value_from_json(raw["initial_value"], "", found)
             problems += [f"places[{i}].initial_value{m}" for m in found]
-        if unknown := raw.keys() - _PLACE_KEYS:
+        if not _PLACE_KEYS.issuperset(raw):
+            unknown = raw.keys() - _PLACE_KEYS
             problems += [f"places[{i}]: unknown key {key!r}" for key in sorted(unknown)]
         out.append(PlaceDecl(pid, initial_date, initial_value))
     return tuple(out)
@@ -262,7 +267,8 @@ def _parse_transitions(
                         )
             problems += [f"transitions[{i}].guard{m}" for m in found]
 
-        if unknown := raw.keys() - _TRANSITION_KEYS:
+        if not _TRANSITION_KEYS.issuperset(raw):
+            unknown = raw.keys() - _TRANSITION_KEYS
             problems += [f"transitions[{i}]: unknown key {key!r}" for key in sorted(unknown)]
         out.append(TransitionDecl(tid, pre, post, latency, latency_class, value_fn, guard))
     return tuple(out)
@@ -403,16 +409,17 @@ def _cross_checks(doc: NetDocument) -> list[str]:
                 if p not in place_ids:
                     problems.append(f"transition {t.id!r}: {side} references unknown place {p!r}")
 
-    # one declared latency spec per equality class
-    class_specs: dict[str, tuple[str, LatencySpec]] = {}
+    # one declared latency spec per equality class, kept with the first
+    # transition that declares it
+    class_specs: dict[str, TransitionDecl] = {}
     for t in doc.transitions:
         cls = doc.effective_class(t)
         declared = class_specs.get(cls)
         if declared is None:
-            class_specs[cls] = (t.id, t.latency)
-        elif declared[1] != t.latency:
+            class_specs[cls] = t
+        elif declared.latency != t.latency:
             problems.append(
-                f"class {cls!r}: transitions {declared[0]!r} and {t.id!r} declare different latencies"
+                f"class {cls!r}: transitions {declared.id!r} and {t.id!r} declare different latencies"
             )
     for cls in sorted(doc.class_grids):
         if cls not in class_specs:
@@ -505,11 +512,17 @@ class BuiltDocument:
         return c.net if isinstance(c, WorkflowNet) else c
 
 
+def document_net(doc: NetDocument) -> Net:
+    """The document's places and arcs as a ``Net``, marked at its minimal
+    places.  Raises NetStructureError on a bad arc."""
+    return net_from_arcs(
+        {t.id: (t.pre, t.post) for t in doc.transitions}, places=[p.id for p in doc.places]
+    )
+
+
 def build_carrier(doc: NetDocument) -> Net | WorkflowNet:
     try:
-        net = net_from_arcs(
-            {t.id: (t.pre, t.post) for t in doc.transitions}, places=[p.id for p in doc.places]
-        )
+        net = document_net(doc)
         if doc.kind == "workflow":
             return WorkflowNet.from_net(net)
         require_occurrence_net(net)

@@ -74,8 +74,8 @@ def net_from_arcs(
     if places is None:
         places = {p for pre, post in transitions.values() for p in (*pre, *post)}
     places = frozenset(places)
-    overlap = places & transitions.keys()
-    if overlap:
+    if not places.isdisjoint(transitions):
+        overlap = places.intersection(transitions)
         raise NetStructureError(f"ids used as both place and transition: {sorted(overlap)}")
     preset = dict.fromkeys(places, _EMPTY)
     postset = dict.fromkeys(places, _EMPTY)
@@ -89,14 +89,22 @@ def net_from_arcs(
             what = "is not place<->transition" if p in transitions else "references unknown node"
             raise NetStructureError(f"arc {(p, t) if bad else (t, p)!r} {what}")
         alone = frozenset((t,))
-        for ps, table, many in ((pre, postset, consumers), (post, preset, producers)):
-            for p in ps:
-                if table[p] is _EMPTY:
-                    table[p] = alone
-                elif p in many:
-                    many[p].append(t)
-                else:
-                    many[p] = [*table[p], t]
+        # the same steps for t's preset places and its postset places,
+        # written out twice: this loop runs once per arc
+        for p in pre:
+            if postset[p] is _EMPTY:
+                postset[p] = alone
+            elif p in consumers:
+                consumers[p].append(t)
+            else:
+                consumers[p] = [*postset[p], t]
+        for p in post:
+            if preset[p] is _EMPTY:
+                preset[p] = alone
+            elif p in producers:
+                producers[p].append(t)
+            else:
+                producers[p] = [*preset[p], t]
         preset[t] = pre
         postset[t] = post
     for table, many in ((preset, producers), (postset, consumers)):
@@ -149,14 +157,17 @@ class NodeRelations:
     ``compute_relations`` fills the eager part in one topological pass, in
     time and space near-linear in the net:
 
-    - ``order``: every node, in topological order (lexicographic among the
-      nodes that are ready together); ``position`` numbers it.
     - ``choices[x]``: for each *choice place* (a place with two or more
       consumers) that has a consumer in [x], the causal past of x with x
       itself, that consumer.  A node with one parent shares its parent's
-      dict, so the maps are never mutated.
+      dict, so the maps are never mutated; in a net without choice places
+      every node shares one empty dict.
     - ``self_conflicting``: the nodes x with x # x, whose past holds two
       consumers of one place.
+
+    ``order`` is every node in topological order, lexicographic among the
+    nodes that are ready together, and ``position`` numbers it.  Both are
+    computed on first read: validation does not need them.
 
     Two nodes are in conflict when their choice maps disagree on a place.
     That is exact unless one of the nodes is self-conflicting, which an
@@ -169,9 +180,12 @@ class NodeRelations:
     """
 
     net: Net
-    order: tuple[str, ...]
     choices: dict[str, dict[str, str]]
     self_conflicting: frozenset[str]
+
+    @cached_property
+    def order(self) -> tuple[str, ...]:
+        return tuple(_topological_order(self.net))
 
     @cached_property
     def position(self) -> dict[str, int]:
@@ -265,9 +279,12 @@ def merge_choices(maps, own=()) -> tuple[dict, bool]:
 
 def compute_relations(net: Net) -> NodeRelations:
     """Causality/conflict structure; requires an acyclic flow graph."""
-    order = _topological_order(net)
+    order = _flow_order(net)
     pre, post = net.preset, net.postset
     choice_places = frozenset(p for p in net.places if len(post[p]) > 1)
+    if not choice_places:
+        # no past holds a choice, so no node can be in conflict
+        return NodeRelations(net=net, choices=dict.fromkeys(order, _NO_CHOICES), self_conflicting=_EMPTY)
     choices: dict[str, dict[str, str]] = {}
     conflicted: set[str] = set()
     for node in order:
@@ -288,15 +305,29 @@ def compute_relations(net: Net) -> NodeRelations:
         choices[node] = merged
         if clash or not conflicted.isdisjoint(parents):
             conflicted.add(node)
-    return NodeRelations(
-        net=net,
-        order=tuple(order),
-        choices=choices,
-        self_conflicting=frozenset(conflicted),
-    )
+    return NodeRelations(net=net, choices=choices, self_conflicting=frozenset(conflicted))
+
+
+def _flow_order(net: Net) -> list[str]:
+    """Every node, each after its parents: Kahn's walk ("Topological sorting
+    of large networks", CACM 1962), taking ready nodes first in, first out."""
+    pre, post = net.preset, net.postset
+    waiting = {n: len(ps) for n, ps in pre.items()}
+    order = [n for n, k in waiting.items() if not k]
+    for node in order:  # grows as nodes become ready
+        for nxt in post[node]:
+            k = waiting[nxt] - 1
+            waiting[nxt] = k
+            if not k:
+                order.append(nxt)
+    if len(order) != len(waiting):
+        raise NetStructureError(f"flow graph has a cycle through {_cycle_node(net)!r}")
+    return order
 
 
 def _topological_order(net: Net) -> list[str]:
+    """Every node, each after its parents, and lexicographic among the nodes
+    that are ready together."""
     indeg = {n: len(net.preset[n]) for n in net.nodes}
     ready = [n for n, d in indeg.items() if d == 0]
     heapq.heapify(ready)

@@ -12,6 +12,7 @@ tokens, ordered by sorted preset place id.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .attributes import (
     DATE_INF,
@@ -30,8 +31,7 @@ from .errors import EvaluationError
 # Latency specs
 
 
-@dataclass(frozen=True)
-class LatencySpec:
+class LatencySpec(NamedTuple):
     """A per-transition latency (or per-place initial date) function.
 
     kind:
@@ -39,11 +39,15 @@ class LatencySpec:
       per_omega  -- table indexed by omega
       infinite   -- +inf for every omega (the transition never occurs)
       expr       -- arithmetic over numeric input values (see LatencyExpr)
+
+    A tuple, built once per declared table: equality, hash and ``repr`` are
+    those of a frozen dataclass with these fields, and ``_replace`` makes a
+    changed copy.
     """
 
     kind: str
     const: ExtendedDate | None = None
-    table: tuple[ExtendedDate, ...] = field(default=())
+    table: tuple[ExtendedDate, ...] = ()
     expr: "LatencyExpr | None" = None
 
     def is_tabular(self) -> bool:
@@ -269,7 +273,7 @@ def latency_from_json(node: object, omega_count: int, path: str, problems: list[
                 if _parse_date_str(raw, f"{path}.values[{i}]", problems) is None:
                     return None
             raise
-        return LatencySpec(kind="per_omega", table=table)
+        return LatencySpec("per_omega", None, table)
     if kind == "expr":
         expr = _expr_from_json(node.get("expr"), f"{path}.expr", problems)
         if expr is None:

@@ -519,11 +519,11 @@ class PreOrchNet:
         for cls, members in self.classes.items():
             if cls not in self.class_spec:
                 raise NetStructureError(f"class {cls!r} has no declared latency spec")
-            if covered & members:
+            if not covered.isdisjoint(members):
                 raise NetStructureError(f"class {cls!r} overlaps another class")
-            covered |= members
-        missing = sorted(self.net.transitions - covered)
-        if missing:
+            covered.update(members)
+        if not covered.issuperset(self.net.transitions):
+            missing = sorted(self.net.transitions - covered)
             raise NetStructureError(f"transitions not covered by any latency class: {missing}")
         for cls in self.class_grid:
             if cls not in self.classes:

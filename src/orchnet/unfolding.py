@@ -333,27 +333,41 @@ def induced_preorchnet(result: UnfoldingResult, carrier: Net, specs: CarrierSpec
     value_fn: dict[str, ValueFnSpec] = {}
     defaults: dict[str, ValueFnSpec] = {}
     guard: dict[str, GuardSpec] = {}
-    classes: dict[str, set[str]] = {}
+    # a class is built once: as its one member's set, or, once it has a
+    # second member, from the list in ``grown``
+    classes: dict[str, frozenset[str]] = {}
+    grown: dict[str, list[str]] = {}
     class_spec: dict[str, LatencySpec] = {}
+    declared_fn, declared_guard = specs.value_fn, specs.guard
+    declared_class, declared_latency = specs.latency_class, specs.latency
     for e in unf.transitions:
         t = phi[e]
-        fn = specs.value_fn.get(t)
+        fn = declared_fn.get(t)
         if fn is None and e != t:
             if t not in defaults:
                 defaults[t] = const_value_fn(atom(t))
             fn = defaults[t]
         if fn is not None:
             value_fn[e] = fn
-        if t in specs.guard:
-            guard[e] = specs.guard[t]
-        cls = specs.latency_class.get(t, t)
-        classes.setdefault(cls, set()).add(e)
-        declared = specs.latency[t]
-        if cls in class_spec and class_spec[cls] != declared:
+        if t in declared_guard:
+            guard[e] = declared_guard[t]
+        cls = declared_class.get(t, t)
+        declared = declared_latency[t]
+        first = classes.get(cls)
+        if first is None:
+            classes[cls] = frozenset((e,))
+            class_spec[cls] = declared
+            continue
+        if class_spec[cls] != declared:
             raise NetStructureError(
                 f"class {cls!r} mixes different declared latencies"
             )
-        class_spec[cls] = declared
+        if cls in grown:
+            grown[cls].append(e)
+        else:
+            grown[cls] = [*first, e]
+    for cls, members in grown.items():
+        classes[cls] = frozenset(members)
 
     # carrier transitions with no copies (dead in an unsound carrier) still
     # deserve their class so grids stay aligned; sound carriers have none
@@ -376,7 +390,7 @@ def induced_preorchnet(result: UnfoldingResult, carrier: Net, specs: CarrierSpec
     pre = PreOrchNet(
         net=unf,
         value_fn=value_fn,
-        classes={cls: frozenset(ms) for cls, ms in classes.items()},
+        classes=classes,
         class_spec=class_spec,
         class_grid=class_grid,
         initial_date=initial_date,

@@ -36,7 +36,7 @@ MEMBERS = 6  # grid members per document besides the baseline
 
 def _bare(doc: NetDocument) -> NetDocument:
     """``doc`` with every value function left out."""
-    return replace(doc, transitions=tuple(replace(t, value_fn=None) for t in doc.transitions))
+    return replace(doc, transitions=tuple(t._replace(value_fn=None) for t in doc.transitions))
 
 
 def _documents() -> list[tuple[str, NetDocument]]:
