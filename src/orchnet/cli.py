@@ -62,6 +62,11 @@ def _load_document(ref: str) -> NetDocument:
     return load(ref)
 
 
+def _check_omega(omega: int, count: int) -> None:
+    if not 0 <= omega < count:
+        raise DocumentError([f"omega {omega} out of range; document declares {count} scenarios"])
+
+
 def _emit(report: dict) -> None:
     print(json.dumps(report, indent=2, sort_keys=True))
     sys.stdout.flush()  # a closed pipe must fail here, inside main, not at exit
@@ -185,10 +190,7 @@ def _cmd_simulate(args) -> int:
     doc = _load_document(args.file)
     built = build(doc)
     orch = built.pre.baseline()
-    if not 0 <= args.omega < orch.omega_count:
-        raise DocumentError(
-            [f"omega {args.omega} out of range; document declares {orch.omega_count} scenarios"]
-        )
+    _check_omega(args.omega, orch.omega_count)
     report = {
         "command": "simulate",
         "file": args.file,
@@ -223,10 +225,7 @@ def _cmd_check_global(args) -> int:
     doc = _load_document(args.file)
     built = build(doc)
     orch = built.pre.baseline()
-    if not 0 <= args.omega < orch.omega_count:
-        raise DocumentError(
-            [f"omega {args.omega} out of range; document declares {orch.omega_count} scenarios"]
-        )
+    _check_omega(args.omega, orch.omega_count)
     result = check_global_condition(orch, args.omega, tie_break=args.tie, config_cap=args.cap)
     report = {
         "command": "check-global",
@@ -292,10 +291,7 @@ def _cmd_oracle(args) -> int:
 def _cmd_counterexample(args) -> int:
     doc = _load_document(args.file)
     built = build(doc)
-    if not 0 <= args.omega < built.pre.omega_count:
-        raise DocumentError(
-            [f"omega {args.omega} out of range; document declares {built.pre.omega_count} scenarios"]
-        )
+    _check_omega(args.omega, built.pre.omega_count)
     structural = structural_check(built.carrier)
     report: dict = {
         "command": "counterexample",

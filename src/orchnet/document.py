@@ -119,7 +119,7 @@ def document_from_json(obj: object) -> NetDocument:
         raise DocumentError(["document must be a JSON object"])
 
     version = obj.get("format_version")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:
         problems.append(f"format_version: expected {FORMAT_VERSION}, got {version!r}")
 
     kind = obj.get("kind")
@@ -128,7 +128,7 @@ def document_from_json(obj: object) -> NetDocument:
         kind = "occurrence"
 
     omega_count = obj.get("omega_count", 1)
-    if not isinstance(omega_count, int) or omega_count < 1:
+    if type(omega_count) is not int or omega_count < 1:
         problems.append(f"omega_count: expected a positive integer, got {omega_count!r}")
         omega_count = 1
 
@@ -609,8 +609,9 @@ def _is_own_atom(value: Value | None, node: str) -> bool:
     return value is not None and value.kind == "atom" and value.atom == node
 
 
-def document_from_orchnet(orch: OrchNet, kind: str = "occurrence") -> NetDocument:
-    """A replayable document for a concrete member (witness serialization).
+def document_from_orchnet(orch: OrchNet) -> NetDocument:
+    """A replayable occurrence document for a concrete member (witness
+    serialization).
 
     Grids are dropped: the document pins exactly one member.
     """
@@ -640,7 +641,7 @@ def document_from_orchnet(orch: OrchNet, kind: str = "occurrence") -> NetDocumen
             )
         )
     return NetDocument(
-        kind=kind,
+        kind="occurrence",
         omega_count=orch.omega_count,
         places=tuple(places),
         transitions=tuple(transitions),

@@ -565,12 +565,11 @@ def _modification_groups(pre: PreOrchNet, specs: CarrierSpecs, phi: dict[str, st
     individually (the induced family choices are per-copy) unless the
     carrier declared an equality class, which ties all copies of all its
     transitions together."""
-    declared = set(specs.latency_class.values())
     group_of: dict[str, str] = {}
     group_members: dict[str, set[str]] = {}
     for e in pre.net.transitions:
         cls = specs.latency_class.get(phi[e])
-        gid = f"class:{cls}" if cls is not None and cls in declared else f"event:{e}"
+        gid = f"event:{e}" if cls is None else f"class:{cls}"
         group_of[e] = gid
         group_members.setdefault(gid, set()).add(e)
     return group_of, group_members

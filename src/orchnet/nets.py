@@ -1,14 +1,18 @@
 """Structural net core: safe nets, occurrence-net relations, clusters,
 configurations, and workflow-net soundness.
 
-Node identifiers are opaque strings; everywhere a deterministic order is
-needed, lexicographic order on ids is used.  Markings of safe nets are sets
-of places.
+Node identifiers are opaque strings, and markings of safe nets are sets of
+places.  No global node order is kept: a net is walked in topological
+order (``_flow_order``) where only "each node after its parents" matters.
+Lexicographic order on ids is used where it carries meaning: the race
+resolves ties by least id, maximal configurations are decided event by key
+and come in the order of their sorted node tuples, clusters come in the
+order of their least node, soundness tries its candidates sorted, and
+``_cycle_node`` walks sorted ids for its witness.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Mapping
@@ -154,8 +158,8 @@ def _cycle_node(net: Net) -> str | None:
 class NodeRelations:
     """Order and conflict structure of an acyclic net.
 
-    ``compute_relations`` fills the eager part in one topological pass, in
-    time and space near-linear in the net:
+    ``compute_relations`` fills it in over one topological walk
+    (``_flow_order``), in time and space near-linear in the net:
 
     - ``choices[x]``: for each *choice place* (a place with two or more
       consumers) that has a consumer in [x], the causal past of x with x
@@ -165,31 +169,19 @@ class NodeRelations:
     - ``self_conflicting``: the nodes x with x # x, whose past holds two
       consumers of one place.
 
-    ``order`` is every node in topological order, lexicographic among the
-    nodes that are ready together, and ``position`` numbers it.  Both are
-    computed on first read: validation does not need them.
-
     Two nodes are in conflict when their choice maps disagree on a place.
     That is exact unless one of the nodes is self-conflicting, which an
     occurrence net rules out: such a node's map names one of its rival
     consumers only.
 
     Causality is read off the preset on demand: ``cone`` walks back from a
-    node, and ``lt``, ``leq`` and ``relation`` read it.  Nothing of size
-    O(N^2) is stored.
+    node, and ``lt``, ``leq`` and ``relation`` read it.  No node order and
+    nothing of size O(N^2) is stored.
     """
 
     net: Net
     choices: dict[str, dict[str, str]]
     self_conflicting: frozenset[str]
-
-    @cached_property
-    def order(self) -> tuple[str, ...]:
-        return tuple(_topological_order(self.net))
-
-    @cached_property
-    def position(self) -> dict[str, int]:
-        return {n: i for i, n in enumerate(self.order)}
 
     def cone(self, x: str) -> frozenset[str]:
         """[x]: the causal past of x, x included, as the backward closure of
@@ -208,8 +200,7 @@ class NodeRelations:
         return x != y and self.leq(x, y)
 
     def leq(self, x: str, y: str) -> bool:
-        # a node's past comes before it in the topological order
-        return x == y or (self.position[x] < self.position[y] and x in self.cone(y))
+        return x == y or x in self.cone(y)
 
     def in_conflict(self, x: str, y: str) -> bool:
         return self.in_conflict_with(x, self.choices[y])
@@ -321,25 +312,6 @@ def _flow_order(net: Net) -> list[str]:
             if not k:
                 order.append(nxt)
     if len(order) != len(waiting):
-        raise NetStructureError(f"flow graph has a cycle through {_cycle_node(net)!r}")
-    return order
-
-
-def _topological_order(net: Net) -> list[str]:
-    """Every node, each after its parents, and lexicographic among the nodes
-    that are ready together."""
-    indeg = {n: len(net.preset[n]) for n in net.nodes}
-    ready = [n for n, d in indeg.items() if d == 0]
-    heapq.heapify(ready)
-    order: list[str] = []
-    while ready:
-        node = heapq.heappop(ready)
-        order.append(node)
-        for nxt in net.postset[node]:
-            indeg[nxt] -= 1
-            if indeg[nxt] == 0:
-                heapq.heappush(ready, nxt)
-    if len(order) != len(net.nodes):
         raise NetStructureError(f"flow graph has a cycle through {_cycle_node(net)!r}")
     return order
 

@@ -316,7 +316,7 @@ def _expr_from_json(node: object, path: str, problems: list[str]) -> LatencyExpr
         return LatencyExpr(op="const", const=d)
     if op == "input":
         idx = node.get("index")
-        if not isinstance(idx, int) or idx < 0:
+        if type(idx) is not int or idx < 0:
             problems.append(f"{path}.index: input index must be a nonnegative integer")
             return None
         return LatencyExpr(op="input", index=idx)
@@ -358,7 +358,7 @@ def value_fn_from_json(node: object, omega_count: int, path: str, problems: list
         return ValueFnSpec(kind="const", const=v)
     if kind == "select":
         idx = node.get("index")
-        if not isinstance(idx, int) or idx < 0:
+        if type(idx) is not int or idx < 0:
             problems.append(f"{path}.index: select index must be a nonnegative integer")
             return None
         return ValueFnSpec(kind="select", index=idx)
@@ -411,7 +411,7 @@ def _operand_from_json(node: object, path: str, problems: list[str]) -> GuardOpe
         return None
     if node["kind"] == "select":
         idx = node.get("index")
-        if not isinstance(idx, int) or idx < 0:
+        if type(idx) is not int or idx < 0:
             problems.append(f"{path}.index: select index must be a nonnegative integer")
             return None
         return GuardOperand(kind="select", index=idx)

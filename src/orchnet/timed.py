@@ -33,7 +33,6 @@ from .nets import (
     Net,
     NodeRelations,
     configuration_of,
-    is_causally_closed,
     is_conflict_free,
     maximal_transitions,
     net_from_arcs,
@@ -63,7 +62,7 @@ class OrchNet:
 
     def __post_init__(self) -> None:
         net = self.net
-        object.__setattr__(self, "_relations", require_occurrence_net(net))
+        require_occurrence_net(net)
         for specs, nodes, what in (
             (self.latency, net.transitions, "transitions without latency specs"),
             (self.initial_date, net.minimal_places, "minimal places without initial dates"),
@@ -79,7 +78,7 @@ class OrchNet:
 
     @property
     def relations(self) -> NodeRelations:
-        return self._relations  # type: ignore[attr-defined]
+        return require_occurrence_net(self.net)
 
     def check_omega(self, omega: int) -> None:
         if not 0 <= omega < self.omega_count:
@@ -106,23 +105,33 @@ class PrefixEvaluation:
 def eval_dates(orch: OrchNet, omega: int, prefix: frozenset[str]) -> PrefixEvaluation:
     """Evaluate dates and values over a causally closed, conflict-free prefix.
 
-    Pure structural evaluation, in topological order: minimal places take
-    their initial dates, other places copy their producer, transitions take
-    max of preset dates plus ``OrchNet.delay_of`` (infinite on a false
-    guard).  This is the one evaluator of a prefix's dates.
+    Pure structural evaluation, in a topological walk of the prefix alone
+    that takes the least id first among the nodes ready together: minimal
+    places take their initial dates, other places copy their producer,
+    transitions take max of preset dates plus ``OrchNet.delay_of``
+    (infinite on a false guard).  A node the walk never reaches has a
+    parent outside the prefix, or in its past: the prefix is not causally
+    closed there.  This is the one evaluator of a prefix's dates.
     """
     orch.check_omega(omega)
-    net, rel = orch.net, orch.relations
+    net = orch.net
     if not prefix <= net.nodes:
         raise NetStructureError(f"prefix contains unknown nodes: {sorted(prefix - net.nodes)}")
-    ordered = sorted(prefix, key=rel.position.__getitem__)
-    if not is_causally_closed(net, prefix):
-        # a node is cut off when a preset node is outside or cut off itself
-        cut: set[str] = set()
-        for n in ordered:
-            if any(m not in prefix or m in cut for m in net.preset[n]):
-                cut.add(n)
-        raise NetStructureError(f"prefix is not causally closed at {sorted(cut)}")
+    waiting = {n: len(net.preset[n]) for n in prefix}
+    ready = [n for n, k in waiting.items() if not k]
+    heapify(ready)
+    ordered = []
+    while ready:
+        node = heappop(ready)
+        ordered.append(node)
+        for nxt in net.postset[node]:
+            if nxt in waiting:
+                k = waiting[nxt] = waiting[nxt] - 1
+                if not k:
+                    heappush(ready, nxt)
+    if len(ordered) != len(prefix):
+        cut = sorted(n for n, k in waiting.items() if k)
+        raise NetStructureError(f"prefix is not causally closed at {cut}")
     if not is_conflict_free(net, prefix):
         raise NetStructureError("prefix is not conflict-free")
 
@@ -887,10 +896,15 @@ class RaceKernel:
         delays = [DATE_ZERO] * n
         slots = []
         errors: dict[int, EvaluationError] = {}
-        for t in orch.relations.order:
-            i = rn.number.get(t)
-            if i is None:
-                continue
+        # every transition after its producers, as the race enables them
+        missing = list(rn.missing)
+        walk = list(rn.starts)
+        for i in walk:  # grows as transitions become enabled
+            for c, k in rn.feeds[i]:
+                missing[c] -= k
+                if not missing[c]:
+                    walk.append(c)
+            t = rn.names[i]
             inputs = tuple(values[s] for s in rn.sources[i])
             if None in inputs:
                 continue  # a producer raises first, so t is never enabled

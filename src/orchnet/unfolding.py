@@ -42,7 +42,7 @@ from .errors import CapExceededError, NetStructureError
 from .nets import (
     Net,
     WorkflowNet,
-    _topological_order,
+    _flow_order,
     is_sound,
     net_from_arcs,
     require_occurrence_net,
@@ -100,7 +100,7 @@ def _unfold(carrier: Net | WorkflowNet, require_sound: bool) -> UnfoldingResult:
         if not net.is_acyclic():
             raise NetStructureError("carrier net must be acyclic")
 
-    order = [t for t in _topological_order(net) if t in net.transitions]
+    order = [t for t in _flow_order(net) if t in net.transitions]
     cond_label, cond_producer, ev_label, ev_preset = _extend(net, order)
 
     cond_names, ev_names = _names(net, order, cond_label, cond_producer, ev_label, ev_preset)

@@ -35,7 +35,7 @@ def document_from_json(obj: object) -> NetDocument:
         raise DocumentError(["document must be a JSON object"])
 
     version = obj.get("format_version")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:
         problems.append(f"format_version: expected {FORMAT_VERSION}, got {version!r}")
 
     kind = obj.get("kind")
@@ -44,7 +44,7 @@ def document_from_json(obj: object) -> NetDocument:
         kind = "occurrence"
 
     omega_count = obj.get("omega_count", 1)
-    if not isinstance(omega_count, int) or omega_count < 1:
+    if type(omega_count) is not int or omega_count < 1:
         problems.append(f"omega_count: expected a positive integer, got {omega_count!r}")
         omega_count = 1
 
@@ -348,7 +348,7 @@ def _expr_from_json(node: object, path: str, problems: list[str]) -> LatencyExpr
         return LatencyExpr(op="const", const=d)
     if op == "input":
         idx = node.get("index")
-        if not isinstance(idx, int) or idx < 0:
+        if type(idx) is not int or idx < 0:
             problems.append(f"{path}.index: input index must be a nonnegative integer")
             return None
         return LatencyExpr(op="input", index=idx)

@@ -44,6 +44,8 @@ import sys
 import time
 from pathlib import Path
 
+from paired_ops import memo_clearers  # a sibling script: tests/ is on the path
+
 ROOT = Path(__file__).resolve().parent.parent
 PHASES = ("json", "parse", "net", "relations", "specs", "family", "baseline", "execute", "summarize")
 
@@ -54,16 +56,6 @@ def race_documents(seed: int, count: int) -> list[tuple[str, int]]:
 
     stream = gen.race_stream(seed)
     return [(gen.document_text(item.document), item.omega) for item in (next(stream) for _ in range(count))]
-
-
-def memo_clearers() -> list:
-    return [
-        value.cache_clear
-        for name, module in sorted(sys.modules.items())
-        if name == "orchnet" or name.startswith("orchnet.")
-        for value in vars(module).values()
-        if callable(getattr(value, "cache_clear", None))
-    ]
 
 
 def document_net(doc):
@@ -148,7 +140,7 @@ def main(argv=None) -> int:
     import orchnet.document  # noqa: F401  (every module with a memo table)
 
     docs = race_documents(args.seed, args.documents)
-    clearers = memo_clearers()
+    clearers = memo_clearers("orchnet")
 
     def clear() -> None:
         for fn in clearers:

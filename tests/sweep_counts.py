@@ -43,6 +43,8 @@ import time
 from itertools import islice
 from pathlib import Path
 
+from paired_ops import memo_clearers  # a sibling script: tests/ is on the path
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -56,16 +58,6 @@ def grid_documents(seed: int, count: int) -> tuple[list[tuple[str, bool]], int]:
     stream = gen.grid_oracle_stream(seed)
     items = [next(stream) for _ in range(count)]
     return [(gen.document_text(item.document), item.clean) for item in items], workloads.ALL_PAIRS_LIMIT
-
-
-def memo_clearers() -> list:
-    return [
-        value.cache_clear
-        for name, module in sorted(sys.modules.items())
-        if name == "orchnet" or name.startswith("orchnet.")
-        for value in vars(module).values()
-        if callable(getattr(value, "cache_clear", None))
-    ]
 
 
 def one_document(text: str, clean: bool, limit: int, clock) -> tuple[list[float], object, str, object]:
@@ -137,7 +129,7 @@ def main(argv=None) -> int:
     import orchnet.monotony  # noqa: F401
 
     docs, limit = grid_documents(args.seed, args.documents)
-    clearers = memo_clearers()
+    clearers = memo_clearers("orchnet")
 
     def clear() -> None:
         for fn in clearers:

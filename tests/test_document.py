@@ -116,6 +116,42 @@ def test_expression_inputs_are_checked_against_the_preset():
     ]
 
 
+def _with_boolean(site):
+    doc = _minimal()
+    t = doc["transitions"][0]
+    if site in ("format_version", "omega_count"):
+        doc[site] = True
+    elif site == "value_fn":
+        t["value_fn"] = {"kind": "select", "index": False}
+    elif site == "guard":
+        t["guard"] = {
+            "op": "eq",
+            "left": {"kind": "select", "index": False},
+            "right": {"kind": "const", "value": {"kind": "atom", "value": "p"}},
+        }
+    else:
+        t["latency"] = {"kind": "expr", "expr": {"op": "input", "index": False}}
+    return doc
+
+
+_BOOLEAN_PROBLEMS = {
+    "format_version": "format_version: expected 1, got True",
+    "omega_count": "omega_count: expected a positive integer, got True",
+    "value_fn": "transitions[0].value_fn.index: select index must be a nonnegative integer",
+    "guard": "transitions[0].guard.left.index: select index must be a nonnegative integer",
+    "latency": "transitions[0].latency.expr.index: input index must be a nonnegative integer",
+}
+
+
+@pytest.mark.parametrize("site", sorted(_BOOLEAN_PROBLEMS))
+def test_a_json_boolean_is_not_an_integer(site):
+    # True == 1 and False == 0 in Python, so an isinstance(x, int) test
+    # would read them as integers and dumps would write them back as booleans
+    with pytest.raises(DocumentError) as err:
+        loads(json.dumps(_with_boolean(site)))
+    assert err.value.problems == [_BOOLEAN_PROBLEMS[site]]
+
+
 def test_an_initial_date_cannot_be_an_expression():
     doc = _minimal()
     doc["places"][0]["initial_date"] = {"kind": "expr", "expr": {"op": "const", "value": "1"}}

@@ -26,8 +26,10 @@ from orchnet import (
 from orchnet import unfolding as unfolding_module
 from orchnet.attributes import atom
 from orchnet.cli import main
+from orchnet.nets import _flow_order
 
-from .randnets import random_workflow
+from .randnets import random_workflow, standard_corpus
+from .test_relations_reference import ref_topological_order
 from .unfold_reference import ref_unfold
 import random
 
@@ -267,6 +269,49 @@ def test_fourteen_choices_in_a_row_unfold_with_colliding_digests_widened():
 def test_twenty_choices_in_a_row_stop_at_the_event_cap():
     with pytest.raises(CapExceededError, match="event cap"):
         unfold(choices_in_a_row(20))
+
+
+def _reversed_fifo_order(net: Net) -> list[str]:
+    """Kahn's walk, first in, first out, with each batch of ready nodes
+    queued in reversed id order."""
+    waiting = {n: len(net.preset[n]) for n in net.nodes}
+    order = sorted((n for n, k in waiting.items() if not k), reverse=True)
+    for node in order:  # grows as nodes become ready
+        for nxt in sorted(net.postset[node], reverse=True):
+            waiting[nxt] -= 1
+            if not waiting[nxt]:
+                order.append(nxt)
+    return order
+
+
+def _named_tables(net: Net, order: list[str]):
+    """The unfolding that ``_extend`` and ``_names`` build when the
+    carrier's transitions are taken in ``order``: each named node's label,
+    and each event's named preset and postset."""
+    ts = [t for t in order if t in net.transitions]
+    cond_label, cond_producer, ev_label, ev_preset = unfolding_module._extend(net, ts)
+    cond_names, ev_names = unfolding_module._names(
+        net, ts, cond_label, cond_producer, ev_label, ev_preset
+    )
+    labels = dict(zip(cond_names, cond_label)) | dict(zip(ev_names, ev_label))
+    preset = {ev_names[e]: frozenset(cond_names[c] for c in combo) for e, combo in enumerate(ev_preset)}
+    postset = {name: set() for name in ev_names}
+    for c, e in enumerate(cond_producer):
+        if e >= 0:
+            postset[ev_names[e]].add(cond_names[c])
+    return labels, preset, postset
+
+
+def test_the_unfolding_does_not_depend_on_the_carrier_order():
+    carriers = [gen.workflow.net for gen in standard_corpus()]
+    carriers += [choices_in_a_row(k).net for k in range(1, 11)]
+    for net in carriers:
+        tables = [
+            _named_tables(net, walk(net))
+            for walk in (ref_topological_order, _flow_order, _reversed_fifo_order)
+        ]
+        assert tables[0] == tables[1] == tables[2]
+    assert len(tables[0][1]) == 4 * (2**10 - 1)
 
 
 def _workflow_document(wf: WorkflowNet) -> dict:
