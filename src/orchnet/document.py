@@ -432,9 +432,11 @@ def _cross_checks(doc: NetDocument) -> list[str]:
 
 def loads(text: str) -> NetDocument:
     try:
-        return document_from_json(json.loads(text))
-    except json.JSONDecodeError as exc:
-        raise DocumentError([f"invalid JSON: {exc}"]) from exc
+        try:
+            data = json.loads(text)
+        except ValueError as exc:  # bad syntax, or an integer past Python's digit limit
+            raise DocumentError([f"invalid JSON: {exc}"]) from exc
+        return document_from_json(data)
     except RecursionError as exc:
         raise DocumentError(["document is nested too deeply"]) from exc
 
@@ -443,7 +445,7 @@ def load(path: str) -> NetDocument:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DocumentError([f"cannot read {path}: {exc}"]) from exc
     return loads(text)
 

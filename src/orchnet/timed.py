@@ -638,9 +638,9 @@ def _date(x) -> ExtendedDate:
 
 
 class _RaceNet:
-    """What every race on one net reads, compiled once per net
-    (``_race_net``): the whole net up front for a grid family's kernel,
-    each transition when it is first enabled for a single run.
+    """What every race on one net reads (``_race_net``), each transition
+    compiled when a race first enables it, for a single run as for a grid
+    family's kernel.
 
     Transitions are numbered in sorted-id order, so a lower number wins a
     lex tie.  A *date source* is a transition's number, or ``n + m`` for
@@ -834,19 +834,16 @@ class KernelRun(NamedTuple):
 @dataclass(frozen=True)
 class _OmegaTable:
     """What every member's race at one omega shares; its dates are as
-    ``_number`` gives them."""
+    ``_number`` gives them.  It starts with no transition evaluated: the
+    race that first enables a transition fills in its entries."""
 
-    latency: list[int | Fraction | _Infinity | None]  # per transition; None where it raises
-    # (transition, its coordinate's stride, radix and grid values)
-    latency_slots: tuple[tuple[int, int, int, tuple], ...]
+    latency: list[int | Fraction | _Infinity | None]  # per transition; None until evaluated
+    # (transition, its coordinate's stride, radix and grid values), in evaluation order
+    latency_slots: list[tuple[int, int, int, tuple]]
     dates: list[int | Fraction | _Infinity]  # per date source: transitions 0, then initial dates
     date_slots: tuple[tuple[int, int, int, tuple], ...]  # (date source, stride, radix, values)
     start: int | Fraction | _Infinity | None  # the latest initial date; None if a place is gridded
-    errors: dict[int, EvaluationError]  # raised when a race enables the transition
-    values: list[Value | None]  # per transition
-
-    def fail(self, c: int):
-        raise self.errors[c]
+    values: list[Value | None]  # per date source
 
 
 class RaceKernel:
@@ -856,10 +853,10 @@ class RaceKernel:
     occurrence net has one producer, so a transition's value, guard outcome
     and ``expr`` latency do not depend on the member either.  They are
     evaluated once per omega, through ``OrchNet.delay_of`` on ``orch``, the
-    member whose gridded latencies and initial dates are 0, and a member's
-    race fills in its grid digits.  An EvaluationError is kept and raised
-    when a race first enables that transition, as the race of the member's
-    OrchNet would raise it.
+    member whose gridded latencies and initial dates are 0, by the first
+    race that enables the transition, as a single run evaluates it; later
+    members copy them and fill in their grid digits.  An EvaluationError is
+    raised by every race that enables that transition.
     """
 
     def __init__(self, pre: PreOrchNet) -> None:
@@ -872,66 +869,38 @@ class RaceKernel:
         )
         self.grid = grid = pre.grid_index
         self.race_net = rn = _race_net(pre.net)
-        for i in range(len(rn.names)):
-            rn.compile(i)
         self.transitions = rn.names
-        self.after = tuple(frozenset(c for c, _ in fed) for fed in rn.feeds)
+        post, number = pre.net.postset, rn.number
+        self.after = tuple(frozenset(number[c] for p in post[t] for c in post[p]) for t in rn.names)
         coordinate = {c: k for k, c in enumerate(grid.class_ids)}
         self.class_coordinate = {t: coordinate[c] for c, ts in pre.classes.items() for t in ts}
         # per transition number: its class coordinate, as a bit
         self.class_bit = tuple(1 << self.class_coordinate[t] for t in rn.names)
+        # per coordinate: its stride, radix and grid values, or None if not gridded
+        self.radix = tuple(
+            None if ds[0] is None else (stride, len(ds), tuple(map(_number, ds)))
+            for ds, stride in zip(grid.digits, grid.strides)
+        )
         self._tables: dict[int, _OmegaTable] = {}
 
     def _compile(self, omega: int) -> _OmegaTable:
-        """The table of ``omega``, compiled and kept on its first race; an
+        """The table of ``omega``, made and kept on its first race; an
         omega out of range raises here."""
-        orch, grid, rn = self.orch, self.grid, self.race_net
+        orch, rn = self.orch, self.race_net
         orch.check_omega(omega)
-        n, ncls = len(rn.names), len(grid.class_ids)
-        gridded = [ds[0] is not None for ds in grid.digits]
+        n, ncls = len(rn.names), len(self.grid.class_ids)
         # raised here, so when a race at this omega starts
         initial = [_number(orch.initial_date[p].value_at(omega)) for p in rn.places]
-        values: list[Value | None] = [None] * n
-        values += [orch.initial_value[p] for p in rn.places]
-        delays = [DATE_ZERO] * n
-        slots = []
-        errors: dict[int, EvaluationError] = {}
-        # every transition after its producers, as the race enables them
-        missing = list(rn.missing)
-        walk = list(rn.starts)
-        for i in walk:  # grows as transitions become enabled
-            for c, k in rn.feeds[i]:
-                missing[c] -= k
-                if not missing[c]:
-                    walk.append(c)
-            t = rn.names[i]
-            inputs = tuple(values[s] for s in rn.sources[i])
-            if None in inputs:
-                continue  # a producer raises first, so t is never enabled
-            try:
-                delays[i], values[i] = orch.delay_of(t, omega, inputs)
-            except EvaluationError as exc:
-                errors[i] = exc
-                continue
-            k = self.class_coordinate[t]
-            if gridded[k] and delays[i].is_finite:  # not stalled by its guard
-                slots.append((i, k))
-        # per coordinate: its stride, radix and grid values (none if not gridded)
-        radix = [
-            (stride, len(ds), tuple(map(_number, ds)) if on else ())
-            for ds, stride, on in zip(grid.digits, grid.strides, gridded)
-        ]
         date_slots = tuple(
-            (n + m, *radix[ncls + m]) for m in range(len(rn.places)) if gridded[ncls + m]
+            (n + m, *slot) for m, slot in enumerate(self.radix[ncls:]) if slot is not None
         )
         tab = self._tables[omega] = _OmegaTable(
-            latency=[None if i in errors else _number(d) for i, d in enumerate(delays)],
-            latency_slots=tuple((i, *radix[k]) for i, k in slots),
+            latency=[None] * n,
+            latency_slots=[],
             dates=[0] * n + initial,
             date_slots=date_slots,
             start=None if date_slots else max(initial, default=0),
-            errors=errors,
-            values=values[:n],
+            values=[None] * n + [orch.initial_value[p] for p in rn.places],
         )
         return tab
 
@@ -955,9 +924,26 @@ class RaceKernel:
             for s, stride, radix, ds in tab.date_slots:
                 dates[s] = ds[idx // stride % radix]
             start = max(dates[len(latency) :])
+
+        def evaluate(c: int):
+            # c's first enabling at this omega: what every later member copies
+            rn = self.race_net
+            if rn.sources[c] is None:
+                rn.compile(c)
+            t = rn.names[c]
+            inputs = tuple(tab.values[s] for s in rn.sources[c])
+            delay, tab.values[c] = self.orch.delay_of(t, omega, inputs)
+            lat = tab.latency[c] = _number(delay)
+            slot = self.radix[self.class_coordinate[t]]
+            if slot is None or lat is INFINITY:  # not gridded, or stalled by its guard
+                return lat
+            tab.latency_slots.append((c, *slot))
+            stride, radix, ds = slot
+            return ds[idx // stride % radix]
+
         runs = []
         for fired, stalled, dates, _ in _race(
-            self.race_net, latency, dates, tab.fail, tie == "all", cap, None
+            self.race_net, latency, dates, evaluate, tie == "all", cap, None
         ):
             total = INFINITY if stalled else max(dates[fired[-1]] if fired else 0, start)
             maximal = None

@@ -21,6 +21,8 @@ separate, untimed pass counts the work:
                read off the pairs it walked
     races      RaceKernel.race calls
     reused     evaluated members that were not raced
+    delays     OrchNet.delay_of calls, witness replays included
+    compiled   _RaceNet.compile calls
 
 The result is one column of ``BENCH_grid_sweep.json``; other columns in
 that file are kept, so two checkouts are compared in one file::
@@ -91,16 +93,27 @@ def evaluated_outcomes(pre, mode: str, report) -> int:
 
 
 def count_work(docs, limit: int, clear) -> dict:
-    from orchnet.timed import RaceKernel
+    from orchnet import timed
 
-    work = {"documents": len(docs), "members": 0, "pairs": 0, "evaluated": 0, "races": 0}
-    real_race = RaceKernel.race
+    work = {"documents": len(docs), "members": 0, "pairs": 0, "evaluated": 0}
+    # (owner, attribute, count): each call of the method adds one to its count
+    patched = [
+        (timed.RaceKernel, "race", "races"),
+        (timed.OrchNet, "delay_of", "delays"),
+        (timed._RaceNet, "compile", "compiled"),
+    ]
+    real = [getattr(owner, name) for owner, name, _ in patched]
 
-    def counted(*args, **kwargs):
-        work["races"] += 1
-        return real_race(*args, **kwargs)
+    def counter(fn, key):
+        def counted(*args, **kwargs):
+            work[key] += 1
+            return fn(*args, **kwargs)
 
-    RaceKernel.race = counted
+        return counted
+
+    for (owner, name, key), fn in zip(patched, real):
+        work[key] = 0
+        setattr(owner, name, counter(fn, key))
     try:
         for text, clean in docs:
             clear()
@@ -109,7 +122,8 @@ def count_work(docs, limit: int, clear) -> dict:
             work["pairs"] += report.pairs_checked
             work["evaluated"] += evaluated_outcomes(pre, mode, report)
     finally:
-        RaceKernel.race = real_race
+        for (owner, name, _), fn in zip(patched, real):
+            setattr(owner, name, fn)
     work["reused"] = work["evaluated"] - work["races"]
     return work
 

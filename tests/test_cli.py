@@ -205,6 +205,32 @@ def test_bad_json_is_an_input_error(capsys, tmp_path):
     assert any("invalid JSON" in p for p in report["error"]["problems"])
 
 
+def _document_error(capsys, path):
+    """The problems of a run that must end in one document error report."""
+    code = main(["validate", str(path)])
+    out, err = capsys.readouterr()
+    assert (code, err) == (2, "")
+    report = json.loads(out)  # one JSON object, nothing after it
+    assert report["error"]["kind"] == "document"
+    return report["error"]["problems"]
+
+
+def test_a_document_that_is_not_utf8_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "latin1.net"
+    path.write_bytes(b"\xff")
+    (problem,) = _document_error(capsys, path)
+    assert problem.startswith(f"cannot read {path}: 'utf-8' codec can't decode byte 0xff")
+
+
+def test_an_integer_past_the_digit_limit_is_invalid_json(capsys, tmp_path):
+    doc = json.loads(corpus_text("branch-race"))
+    doc["omega_count"] = "OMEGA"
+    path = tmp_path / "long.net"
+    path.write_text(json.dumps(doc).replace('"OMEGA"', "1" * 5000))
+    (problem,) = _document_error(capsys, path)
+    assert problem.startswith("invalid JSON: Exceeds the limit (4300 digits)")
+
+
 def test_deeply_nested_document_is_an_input_error(capsys, tmp_path):
     path = tmp_path / "nested.net"
     path.write_text("[" * 100_000 + "]" * 100_000)

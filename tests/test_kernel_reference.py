@@ -19,6 +19,7 @@ import pytest
 from orchnet import (
     CapExceededError,
     EvaluationError,
+    OrchNet,
     PreOrchNet,
     atom,
     build,
@@ -105,6 +106,7 @@ def test_the_race_compiles_each_transition_by_the_general_rule():
     for pre in pres:
         rn = pre.kernel.race_net
         for i, t in enumerate(rn.names):
+            rn.compile(i)
             want = compiled_tables(rn, i)
             assert (rn.sources[i], rn.feeds[i], rn.rivals[i]) == want, t
             presets.add(len(pre.net.preset[t]))
@@ -234,6 +236,36 @@ def test_only_the_members_that_enable_a_raising_transition_raise():
     )
     seen = assert_members_match(pre, range(pre.grid_index.size))
     assert seen == Counter(members=2, runs=2, complete=2, raised=2)
+
+
+def test_the_kernel_evaluates_only_what_a_race_enables(monkeypatch):
+    # a beats b for p in every member, so c, which consumes b's token, is
+    # never enabled and never evaluated
+    net = net_from_arcs(
+        {"a": (("p",), ("qa",)), "b": (("p",), ("qb",)), "c": (("qb",), ("r",))}
+    )
+    pre = PreOrchNet(
+        net=net,
+        value_fn={t: const_value_fn(atom(t)) for t in net.transitions},
+        classes={"a": frozenset({"a"}), "b": frozenset({"b", "c"})},
+        class_spec={"a": const_latency(1), "b": const_latency(5)},
+        class_grid={"a": (date_of("1"), date_of("2"))},
+        initial_date={"p": const_latency(0)},
+        place_grid={},
+    )
+    evaluated = []
+    real_delay_of = OrchNet.delay_of
+
+    def counted(orch, t, omega, inputs):
+        evaluated.append(t)
+        return real_delay_of(orch, t, omega, inputs)
+
+    monkeypatch.setattr(OrchNet, "delay_of", counted)
+    for idx in range(pre.grid_index.size):
+        for tie in ("lex", "all"):
+            (run,) = pre.kernel.race(idx, 0, tie)
+            assert [pre.kernel.transitions[t] for t in run.fired] == ["a"]
+    assert evaluated == ["a", "b"]
 
 
 # ---------------------------------------------------------------------------
