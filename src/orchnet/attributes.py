@@ -14,6 +14,8 @@ serialization; no ordering is defined between values of different shapes.
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, total_ordering
@@ -103,15 +105,40 @@ def date_max(dates) -> ExtendedDate:
     return best
 
 
+_max_str_digits = getattr(sys, "get_int_max_str_digits", int)  # 0 before Python 3.10.7: no limit
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
+
+def _printable(n: int, limit: int) -> bool:
+    """Whether ``str(n)`` stays within ``limit`` digits."""
+    # 2**(3 * limit) < 10**limit, so short numbers skip the power
+    return n.bit_length() <= 3 * limit or abs(n) < 10**limit
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse "3", "3.5", or "7/2" into an exact Fraction."""
+    """Parse "3", "3.5", "7/2" or "2.5e3" into an exact Fraction.
+
+    A number whose numerator or denominator has more digits than Python
+    prints (``sys.get_int_max_str_digits()``) is rejected, and an exponent
+    that large is rejected before ``Fraction`` raises 10 to its power.
+    """
     text = text.strip()
     if not text:
         raise EvaluationError("empty number")
+    limit = _max_str_digits()
+    # without an exponent, no part of the value has more digits than the text
+    checked = limit and ("e" in text or "E" in text or len(text) > limit)
     try:
-        return Fraction(text)
+        exponent = checked and _EXPONENT.search(text)
+        # past this, the value is 0 or has more than ``limit`` digits
+        if exponent and abs(int(exponent[1])) > limit + len(text):
+            raise ValueError("exponent too large")
+        q = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise EvaluationError(f"bad number {text!r}: {exc}") from exc
+    if checked and not (_printable(q.numerator, limit) and _printable(q.denominator, limit)):
+        raise EvaluationError(f"bad number {text!r}: more than {limit} digits")
+    return q
 
 
 @lru_cache(maxsize=4096)
@@ -127,26 +154,33 @@ def parse_date(text: str) -> ExtendedDate:
 
 
 def format_rational(q: Fraction) -> str:
-    """Exact string form: integer, terminating decimal, or "p/q"."""
-    if q.denominator == 1:
-        return str(q.numerator)
-    den = q.denominator
-    twos = 0
-    while den % 2 == 0:
-        den //= 2
-        twos += 1
-    fives = 0
-    while den % 5 == 0:
-        den //= 5
-        fives += 1
-    if den != 1:
-        return f"{q.numerator}/{q.denominator}"
-    digits = max(twos, fives)
-    scaled = q.numerator * 10**digits // q.denominator
-    sign = "-" if scaled < 0 else ""
-    scaled = abs(scaled)
-    whole, frac = divmod(scaled, 10**digits)
-    return f"{sign}{whole}.{str(frac).rjust(digits, '0')}"
+    """Exact string form: integer, terminating decimal, or "p/q".
+
+    Raises EvaluationError for a number with more digits than Python
+    prints: parsing admits none, but arithmetic can grow one.
+    """
+    try:
+        if q.denominator == 1:
+            return str(q.numerator)
+        den = q.denominator
+        twos = 0
+        while den % 2 == 0:
+            den //= 2
+            twos += 1
+        fives = 0
+        while den % 5 == 0:
+            den //= 5
+            fives += 1
+        if den != 1:
+            return f"{q.numerator}/{q.denominator}"
+        digits = max(twos, fives)
+        scaled = q.numerator * 10**digits // q.denominator
+        sign = "-" if scaled < 0 else ""
+        scaled = abs(scaled)
+        whole, frac = divmod(scaled, 10**digits)
+        return f"{sign}{whole}.{str(frac).rjust(digits, '0')}"
+    except ValueError as exc:
+        raise EvaluationError(f"number too large to print: {exc}") from exc
 
 
 def format_date(d: ExtendedDate) -> str:

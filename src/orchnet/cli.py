@@ -41,6 +41,7 @@ from .errors import (
     SynthesisError,
 )
 from .monotony import (
+    GridWitness,
     brute_force_monotony,
     check_global_condition,
     conditional_monotony_check,
@@ -54,6 +55,13 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_INPUT = 2
 EXIT_UNDECIDED = 3
+
+# every outcome a subcommand returns; simulate and unfold end "valid"
+EXIT_CODES = {
+    **dict.fromkeys(("valid", "holds", "monotonic", "conditionally_monotonic"), EXIT_OK),
+    **dict.fromkeys(("invalid-net", "unsound", "violated", "non_monotonic"), EXIT_VIOLATION),
+    "undecided": EXIT_UNDECIDED,
+}
 
 
 def _load_document(ref: str) -> NetDocument:
@@ -104,11 +112,25 @@ def _assignment_report(fa: FamilyAssignment) -> dict:
     }
 
 
+def _witness_report(w: GridWitness, resolutions: bool) -> dict:
+    report = {
+        "hi": _assignment_report(w.hi),
+        "lo": _assignment_report(w.lo),
+        "omega": w.omega,
+        "latency_hi": format_date(w.latency_hi),
+        "latency_lo": format_date(w.latency_lo),
+    }
+    if resolutions:
+        report["resolution_hi"] = list(w.resolution_hi)
+        report["resolution_lo"] = list(w.resolution_lo)
+    return report
+
+
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each returns its report and its outcome, a key of EXIT_CODES
 
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(args) -> tuple[dict, str]:
     doc = _load_document(args.file)
     net = document_net(doc)
     report: dict = {"command": "validate", "file": args.file, "kind": doc.kind}
@@ -121,32 +143,28 @@ def _cmd_validate(args) -> int:
                 {"condition": d.condition, "witness": sorted(d.witness), "message": d.message}
                 for d in check.diagnostics
             ]
-            _emit(report)
-            return EXIT_VIOLATION
+            return report, "invalid-net"
         build(doc, net)  # attribute placement; raises DocumentError on problems
         report["status"] = "valid"
         report["conditions"] = [
             "partial_order", "unique_producer", "initial_marking", "no_self_conflict",
         ]
-        _emit(report)
-        return EXIT_OK
+        return report, "valid"
 
     try:
         wf = WorkflowNet.from_net(net)
     except NetStructureError as exc:
         report["status"] = "invalid-net"
         report["diagnostics"] = [{"condition": "workflow_shape", "message": str(exc)}]
-        _emit(report)
-        return EXIT_VIOLATION
+        return report, "invalid-net"
     verdict = is_sound(wf, marking_cap=args.cap)
     report["markings_explored"] = verdict.markings_explored
     if verdict.status == "sound":
         build(doc, wf)
         report["status"] = "valid"
         report["soundness"] = "sound"
-        _emit(report)
-        return EXIT_OK
-    report["soundness"] = verdict.status
+        return report, "valid"
+    report["soundness"] = report["status"] = verdict.status  # "unsound" or "undecided"
     report["issues"] = [
         {
             "kind": issue.kind,
@@ -156,16 +174,10 @@ def _cmd_validate(args) -> int:
         }
         for issue in verdict.issues
     ]
-    if verdict.status == "undecided":
-        report["status"] = "undecided"
-        _emit(report)
-        return EXIT_UNDECIDED
-    report["status"] = "unsound"
-    _emit(report)
-    return EXIT_VIOLATION
+    return report, verdict.status
 
 
-def _cmd_unfold(args) -> int:
+def _cmd_unfold(args) -> tuple[dict, str]:
     doc = _load_document(args.file)
     unfolding = build(doc).unfolding
     unf, phi = unfolding.unfolding, unfolding.morphism.node_map
@@ -182,11 +194,10 @@ def _cmd_unfold(args) -> int:
         "counts": {"conditions": len(unf.places), "events": len(unf.transitions)},
         "copies": dict(sorted(copies.items())),
     }
-    _emit(report)
-    return EXIT_OK
+    return report, "valid"
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> tuple[dict, str]:
     doc = _load_document(args.file)
     built = build(doc)
     orch = built.pre.baseline()
@@ -199,11 +210,10 @@ def _cmd_simulate(args) -> int:
         "tie": args.tie,
         "runs": [_run_report(r) for r in resolutions(orch, args.omega, args.tie)],
     }
-    _emit(report)
-    return EXIT_OK
+    return report, "valid"
 
 
-def _cmd_check_structural(args) -> int:
+def _cmd_check_structural(args) -> tuple[dict, str]:
     doc = _load_document(args.file)
     carrier = build_carrier(doc)
     result = structural_check(carrier)
@@ -217,11 +227,10 @@ def _cmd_check_structural(args) -> int:
             for v in result.violations
         ],
     }
-    _emit(report)
-    return EXIT_OK if result.satisfied else EXIT_VIOLATION
+    return report, "holds" if result.satisfied else "violated"
 
 
-def _cmd_check_global(args) -> int:
+def _cmd_check_global(args) -> tuple[dict, str]:
     doc = _load_document(args.file)
     built = build(doc)
     orch = built.pre.baseline()
@@ -243,15 +252,10 @@ def _cmd_check_global(args) -> int:
     }
     if result.note:
         report["note"] = result.note
-    _emit(report)
-    if result.status == "holds":
-        return EXIT_OK
-    if result.status == "violated":
-        return EXIT_VIOLATION
-    return EXIT_UNDECIDED
+    return report, result.status
 
 
-def _cmd_oracle(args) -> int:
+def _cmd_oracle(args) -> tuple[dict, str]:
     doc = _load_document(args.file)
     built = build(doc)
     result = brute_force_monotony(
@@ -270,28 +274,14 @@ def _cmd_oracle(args) -> int:
     if result.note:
         report["note"] = result.note
     if result.witness is not None:
-        w = result.witness
-        report["witness"] = {
-            "hi": _assignment_report(w.hi),
-            "lo": _assignment_report(w.lo),
-            "omega": w.omega,
-            "latency_hi": format_date(w.latency_hi),
-            "latency_lo": format_date(w.latency_lo),
-            "resolution_hi": list(w.resolution_hi),
-            "resolution_lo": list(w.resolution_lo),
-        }
-    _emit(report)
-    if result.outcome == "monotonic":
-        return EXIT_OK
-    if result.outcome == "non_monotonic":
-        return EXIT_VIOLATION
-    return EXIT_UNDECIDED
+        report["witness"] = _witness_report(result.witness, resolutions=True)
+    return report, result.outcome
 
 
-def _cmd_counterexample(args) -> int:
+def _cmd_counterexample(args) -> tuple[dict, str]:
     doc = _load_document(args.file)
     built = build(doc)
-    _check_omega(args.omega, built.pre.omega_count)
+    _check_omega(args.omega, doc.omega_count)
     structural = structural_check(built.carrier)
     report: dict = {
         "command": "counterexample",
@@ -302,8 +292,7 @@ def _cmd_counterexample(args) -> int:
     if structural.satisfied:
         report["outcome"] = "monotonic"
         report["reason"] = "every cluster fuses postsets; raising latencies cannot help"
-        _emit(report)
-        return EXIT_OK
+        return report, "monotonic"
     try:
         outcome = synthesize_counterexample(
             built.carrier, built.specs, args.omega, tie_break=args.tie
@@ -311,8 +300,7 @@ def _cmd_counterexample(args) -> int:
     except SynthesisError as exc:
         report["outcome"] = "undecided"
         report["reason"] = str(exc)
-        _emit(report)
-        return EXIT_UNDECIDED
+        return report, "undecided"
     report["outcome"] = "non_monotonic"
     report["cluster"] = list(outcome.cluster)
     report["pair"] = {
@@ -332,11 +320,10 @@ def _cmd_counterexample(args) -> int:
     }
     report["lo"] = document_to_json(document_from_orchnet(outcome.lo))
     report["hi"] = document_to_json(document_from_orchnet(outcome.hi))
-    _emit(report)
-    return EXIT_VIOLATION
+    return report, "non_monotonic"
 
 
-def _cmd_check_conditional(args) -> int:
+def _cmd_check_conditional(args) -> tuple[dict, str]:
     doc = _load_document(args.file)
     built = build(doc)
     result = conditional_monotony_check(
@@ -353,23 +340,9 @@ def _cmd_check_conditional(args) -> int:
         report["note"] = result.note
     if result.witness is not None:
         w = result.witness
-        report["witness"] = {
-            "hi": _assignment_report(w.hi),
-            "lo": _assignment_report(w.lo),
-            "omega": w.omega,
-            "latency_hi": format_date(w.latency_hi),
-            "latency_lo": format_date(w.latency_lo),
-            "values": [value_to_json(v) for v in w.values],
-        }
-        if args.tie == "all":
-            report["witness"]["resolution_hi"] = list(w.resolution_hi)
-            report["witness"]["resolution_lo"] = list(w.resolution_lo)
-    _emit(report)
-    if result.outcome == "conditionally_monotonic":
-        return EXIT_OK
-    if result.outcome == "non_monotonic":
-        return EXIT_VIOLATION
-    return EXIT_UNDECIDED
+        report["witness"] = _witness_report(w, resolutions=args.tie == "all")
+        report["witness"]["values"] = [value_to_json(v) for v in w.values]
+    return report, result.outcome
 
 
 # ---------------------------------------------------------------------------
@@ -441,20 +414,25 @@ def main(argv=None) -> int:
 
 
 def _run(args) -> int:
+    """Run the subcommand and print its report: the one place where a
+    report is written and an exit code chosen."""
     try:
-        return args.handler(args)
+        report, outcome = args.handler(args)
+        code = EXIT_CODES[outcome]
     except DocumentError as exc:
-        _emit({"error": {"kind": "document", "problems": list(exc.problems)}})
-        return EXIT_INPUT
+        report = {"error": {"kind": "document", "problems": list(exc.problems)}}
+        code = EXIT_INPUT
     except (NetStructureError, EvaluationError) as exc:
-        _emit({"error": {"kind": "net", "message": str(exc)}})
-        return EXIT_INPUT
+        report = {"error": {"kind": "net", "message": str(exc)}}
+        code = EXIT_INPUT
     except CapExceededError as exc:
-        _emit({"error": {"kind": "cap", "message": str(exc)}})
-        return EXIT_UNDECIDED
+        report = {"error": {"kind": "cap", "message": str(exc)}}
+        code = EXIT_UNDECIDED
     except SynthesisError as exc:
-        _emit({"error": {"kind": "synthesis", "message": str(exc)}})
-        return EXIT_UNDECIDED
+        report = {"error": {"kind": "synthesis", "message": str(exc)}}
+        code = EXIT_UNDECIDED
+    _emit(report)
+    return code
 
 
 if __name__ == "__main__":

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from importlib import resources
 from typing import NamedTuple
 
@@ -505,13 +506,17 @@ class BuiltDocument:
     document: NetDocument
     carrier: Net | WorkflowNet
     specs: CarrierSpecs
-    pre: PreOrchNet
     unfolding: UnfoldingResult  # the identity on an occurrence carrier
 
     @property
     def carrier_net(self) -> Net:
         c = self.carrier
         return c.net if isinstance(c, WorkflowNet) else c
+
+    @cached_property
+    def pre(self) -> PreOrchNet:
+        """The grid family on the unfolding, induced when first read."""
+        return induced_preorchnet(self.unfolding, self.carrier_net, self.specs)
 
 
 def document_net(doc: NetDocument) -> Net:
@@ -602,8 +607,7 @@ def build(doc: NetDocument, checked: Net | WorkflowNet | None = None) -> BuiltDo
     else:
         # an occurrence net is its own unfolding
         result = UnfoldingResult(unfolding=net, morphism=Morphism({n: n for n in net.nodes}))
-    pre = induced_preorchnet(result, net, specs)
-    return BuiltDocument(document=doc, carrier=carrier, specs=specs, pre=pre, unfolding=result)
+    return BuiltDocument(document=doc, carrier=carrier, specs=specs, unfolding=result)
 
 
 def _is_own_atom(value: Value | None, node: str) -> bool:

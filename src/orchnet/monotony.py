@@ -23,7 +23,7 @@ value sets; distinct value sets across maximal configurations certify it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
@@ -173,21 +173,27 @@ def check_global_condition(
 
 
 @dataclass(frozen=True)
-class OracleWitness:
+class GridWitness:
+    """The first violating pair of a grid sweep: member ``hi`` dominates
+    ``lo`` and finishes earlier at ``omega``.  ``values`` is the value set
+    both deliver (conditional monotony only), and the resolutions are the
+    two runs' firing orders under the ``all`` tie policy."""
+
     hi: FamilyAssignment
     lo: FamilyAssignment
     omega: int
     latency_hi: ExtendedDate
     latency_lo: ExtendedDate
-    resolution_hi: tuple[str, ...] = field(default=())
-    resolution_lo: tuple[str, ...] = field(default=())
+    values: tuple[Value, ...] = ()
+    resolution_hi: tuple[str, ...] = ()
+    resolution_lo: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
 class OracleReport:
     outcome: str  # "monotonic" | "non_monotonic" | "undecided"
     grid_relative: bool
-    witness: OracleWitness | None
+    witness: GridWitness | None
     members_checked: int
     pairs_checked: int
     note: str = ""
@@ -219,22 +225,10 @@ def brute_force_monotony(
         eval_cap,
         f"oracle exceeded evaluation cap {eval_cap}",
     )
-    witness = None
-    if sweep.hit is not None:
-        hi, lo, omega, hi_res, lo_res = sweep.hit
-        witness = OracleWitness(
-            hi=hi,
-            lo=lo,
-            omega=omega,
-            latency_hi=hi_res.latency,
-            latency_lo=lo_res.latency,
-            resolution_hi=hi_res.run.step_order if tie_break == "all" else (),
-            resolution_lo=lo_res.run.step_order if tie_break == "all" else (),
-        )
     return OracleReport(
         outcome=sweep.outcome("monotonic"),
         grid_relative=True,
-        witness=witness,
+        witness=sweep.witness,
         members_checked=pre.member_count(),
         pairs_checked=sweep.pairs_checked,
         note=sweep.note,
@@ -243,15 +237,14 @@ def brute_force_monotony(
 
 @dataclass(frozen=True)
 class _SweepResult:
-    # (hi member, lo member, omega, hi outcome, lo outcome) of the first violation
-    hit: tuple[FamilyAssignment, FamilyAssignment, int, EndToEnd, EndToEnd] | None
+    witness: GridWitness | None  # the first violation
     pairs_checked: int
     note: str  # the cap message when the evaluation budget ran out
 
     def outcome(self, holds: str) -> str:
         if self.note:
             return "undecided"
-        return "non_monotonic" if self.hit is not None else holds
+        return "non_monotonic" if self.witness is not None else holds
 
 
 def _sweep(
@@ -273,9 +266,9 @@ def _sweep(
     h and lo outcome l, both ``KernelRun``s (with their value sets when
     ``values`` is set).  A pair whose two members share one outcome tuple
     cannot violate.  The violating pair alone is instantiated and raced
-    again through ``resolutions`` for the witness.  Both races run the
-    same loop, so comparing them checks the kernel's grid-digit latencies
-    against the member's own specs.
+    again through ``resolutions`` for the ``GridWitness``.  Both races run
+    the same loop, so comparing them checks the kernel's grid-digit
+    latencies against the member's own specs.
 
     Under lex a member is not always raced.  Take the member one step lower
     in value in a class coordinate k.  If its run is memoised at this omega
@@ -352,14 +345,21 @@ def _sweep(
                 for h in hi_all:
                     for l in lo_all:
                         if violates(h, l):
-                            hit = (
-                                grid.member(hi_idx),
-                                grid.member(lo_idx),
-                                omega,
-                                replay(hi_idx, omega, hi_all, h),
-                                replay(lo_idx, omega, lo_all, l),
+                            hi_res = replay(hi_idx, omega, hi_all, h)
+                            lo_res = replay(lo_idx, omega, lo_all, l)
+                            witness = GridWitness(
+                                hi=grid.member(hi_idx),
+                                lo=grid.member(lo_idx),
+                                omega=omega,
+                                latency_hi=hi_res.latency,
+                                latency_lo=lo_res.latency,
+                                values=tuple(sorted(hi_res.values, key=value_sort_key))
+                                if values
+                                else (),
+                                resolution_hi=hi_res.run.step_order if tie_break == "all" else (),
+                                resolution_lo=lo_res.run.step_order if tie_break == "all" else (),
                             )
-                            return _SweepResult(hit, pairs_checked, "")
+                            return _SweepResult(witness, pairs_checked, "")
     except CapExceededError as exc:
         return _SweepResult(None, pairs_checked, str(exc))
     return _SweepResult(None, pairs_checked, "")
@@ -846,23 +846,11 @@ def check_distinct_values(orch: OrchNet, config_cap: int = 100_000) -> DistinctV
 
 
 @dataclass(frozen=True)
-class ConditionalWitness:
-    hi: FamilyAssignment
-    lo: FamilyAssignment
-    omega: int
-    latency_hi: ExtendedDate
-    latency_lo: ExtendedDate
-    values: tuple[Value, ...]
-    resolution_hi: tuple[str, ...] = field(default=())
-    resolution_lo: tuple[str, ...] = field(default=())
-
-
-@dataclass(frozen=True)
 class ConditionalReport:
     outcome: str  # "conditionally_monotonic" | "non_monotonic" | "undecided"
     path: str  # "distinct_values" | "brute_force"
     grid_relative: bool
-    witness: ConditionalWitness | None
+    witness: GridWitness | None
     note: str = ""
 
 
@@ -905,23 +893,10 @@ def conditional_monotony_check(
         f"conditional check exceeded evaluation cap {eval_cap}",
         values=True,
     )
-    witness = None
-    if sweep.hit is not None:
-        hi, lo, omega, hi_res, lo_res = sweep.hit
-        witness = ConditionalWitness(
-            hi=hi,
-            lo=lo,
-            omega=omega,
-            latency_hi=hi_res.latency,
-            latency_lo=lo_res.latency,
-            values=tuple(sorted(hi_res.values, key=value_sort_key)),
-            resolution_hi=hi_res.run.step_order if tie_break == "all" else (),
-            resolution_lo=lo_res.run.step_order if tie_break == "all" else (),
-        )
     return ConditionalReport(
         outcome=sweep.outcome("conditionally_monotonic"),
         path="brute_force",
         grid_relative=True,
-        witness=witness,
+        witness=sweep.witness,
         note=sweep.note,
     )

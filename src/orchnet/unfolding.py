@@ -315,15 +315,7 @@ def induced_preorchnet(result: UnfoldingResult, carrier: Net, specs: CarrierSpec
     Every copy of a carrier transition shares that transition's specs, and
     the equality classes group copies by declared class (default: one class
     per carrier transition), so grid members assign all copies one constant.
-
-    The family is kept on ``result`` with the carrier and specs objects it
-    was induced from, and returned again for those very objects:
-    ``counterexample`` builds a document's family, then synthesizes from
-    the same unfolding result (``unfold`` is memoized), carrier and specs.
     """
-    kept = getattr(result, "_family", None)
-    if kept is not None and kept[0] is carrier and kept[1] is specs:
-        return kept[2]
     unf = result.unfolding
     phi = result.morphism.node_map
 
@@ -387,7 +379,7 @@ def induced_preorchnet(result: UnfoldingResult, carrier: Net, specs: CarrierSpec
         if cls in classes
     }
 
-    pre = PreOrchNet(
+    return PreOrchNet(
         net=unf,
         value_fn=value_fn,
         classes=classes,
@@ -400,5 +392,3 @@ def induced_preorchnet(result: UnfoldingResult, carrier: Net, specs: CarrierSpec
         initial_value=initial_value,
         upward_closed=specs.upward_closed,
     )
-    object.__setattr__(result, "_family", (carrier, specs, pre))
-    return pre

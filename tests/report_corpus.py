@@ -1,5 +1,6 @@
 """Write the corpus reports: fifteen CLI invocations on each of 400
-documents, 6,000 reports in all.
+documents, 6,000 reports in all, and ten on each of the 240 seeded mutants
+of ``tests/test_fuzz.py``, 2,400 more.
 
 The documents are the 200 nets of ``standard_corpus()`` (``tests/randnets.py``)
 written twice: as workflow documents, and as their occurrence twins (the
@@ -13,9 +14,12 @@ so two checkouts are compared with one ``diff -r``::
     diff -r OUT_PARENT OUT_CHANGE
 
 ``OUT/documents/`` holds the 400 documents, ``OUT/reports/<document>/``
-their reports and ``OUT/exit_codes.json`` every exit code.  The grid sweeps
-run with ``--cap 5000``: with the default cap the occurrence twins of the
-larger nets (4^k members for k events) do not finish in practical time.
+their reports and ``OUT/exit_codes.json`` every exit code.  The mutants,
+most of which end in an error report, go under ``documents/mutants/`` and
+``reports/mutants/``, run with the invocations of ``tests/test_fuzz.py``.
+The grid sweeps of the 400 documents run with ``--cap 5000``: with the
+default cap the occurrence twins of the larger nets (4^k members for k
+events) do not finish in practical time.
 This file is a script, not a test module; pytest does not collect it.
 """
 
@@ -103,21 +107,30 @@ def occurrence_twin(doc: NetDocument) -> NetDocument:
 def write_reports() -> int:
     """Write everything into the current directory; reports name their
     document by its path relative to it."""
-    Path("documents").mkdir(exist_ok=True)
+    # imported here: tests/test_fuzz.py imports this module
+    from tests.test_fuzz import INVOCATIONS as MUTANT_INVOCATIONS
+    from tests.test_fuzz import seeded_mutants
+
+    Path("documents", "mutants").mkdir(parents=True, exist_ok=True)
     codes: dict[str, int] = {}
+    documents = []
     for gen in standard_corpus():
         wf = workflow_document(gen)
         for name, doc in ((gen.name, wf), (f"{gen.name}-occurrence", occurrence_twin(wf))):
-            path = f"documents/{name}.net"
-            Path(path).write_text(dumps(doc), encoding="utf-8")
-            reports = Path("reports", name)
-            reports.mkdir(parents=True, exist_ok=True)
-            for args in INVOCATIONS:
-                case = "_".join(a.lstrip("-") for a in args)
-                stdout = io.StringIO()
-                with contextlib.redirect_stdout(stdout):
-                    codes[f"{name}/{case}"] = main([args[0], path, *args[1:]])
-                (reports / f"{case}.json").write_text(stdout.getvalue(), encoding="utf-8")
+            documents.append((name, dumps(doc), INVOCATIONS))
+    for name, doc in seeded_mutants():
+        documents.append((f"mutants/{name}", json.dumps(doc), MUTANT_INVOCATIONS))
+    for name, text, invocations in documents:
+        path = f"documents/{name}.net"
+        Path(path).write_text(text, encoding="utf-8")
+        reports = Path("reports", name)
+        reports.mkdir(parents=True, exist_ok=True)
+        for args in invocations:
+            case = "_".join(a.lstrip("-") for a in args)
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                codes[f"{name}/{case}"] = main([args[0], path, *args[1:]])
+            (reports / f"{case}.json").write_text(stdout.getvalue(), encoding="utf-8")
     Path("exit_codes.json").write_text(
         json.dumps(codes, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )

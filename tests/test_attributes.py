@@ -64,6 +64,19 @@ def test_rational_parsing_and_exact_formatting():
         parse_rational("not-a-number")
 
 
+def test_a_number_must_stay_printable():
+    # 4,300 digits is the default limit of Python's int-to-str conversion
+    assert parse_rational("1e4299") == 10**4299
+    assert parse_rational("1e-4299") == Fraction(1, 10**4299)
+    for text, problem in (
+        ("1e4300", "more than 4300 digits"),
+        ("1e-4300", "more than 4300 digits"),
+        ("1e5000", "exponent too large"),
+    ):
+        with pytest.raises(EvaluationError, match=f"bad number '{text}': {problem}"):
+            parse_rational(text)
+
+
 def test_date_format_round_trip():
     for text in ("0", "1", "42", "0.125", "7/3", "inf"):
         assert format_date(parse_date(text)) == text

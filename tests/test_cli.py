@@ -205,14 +205,19 @@ def test_bad_json_is_an_input_error(capsys, tmp_path):
     assert any("invalid JSON" in p for p in report["error"]["problems"])
 
 
-def _document_error(capsys, path):
-    """The problems of a run that must end in one document error report."""
-    code = main(["validate", str(path)])
+def _input_error(capsys, *argv):
+    """The error of a run that must end in one error report, exit 2."""
+    code = main(list(argv))
     out, err = capsys.readouterr()
     assert (code, err) == (2, "")
-    report = json.loads(out)  # one JSON object, nothing after it
-    assert report["error"]["kind"] == "document"
-    return report["error"]["problems"]
+    return json.loads(out)["error"]  # one JSON object, nothing after it
+
+
+def _document_error(capsys, path):
+    """The problems of a run that must end in one document error report."""
+    error = _input_error(capsys, "validate", str(path))
+    assert error["kind"] == "document"
+    return error["problems"]
 
 
 def test_a_document_that_is_not_utf8_is_an_input_error(capsys, tmp_path):
@@ -229,6 +234,53 @@ def test_an_integer_past_the_digit_limit_is_invalid_json(capsys, tmp_path):
     path.write_text(json.dumps(doc).replace('"OMEGA"', "1" * 5000))
     (problem,) = _document_error(capsys, path)
     assert problem.startswith("invalid JSON: Exceeds the limit (4300 digits)")
+
+
+@pytest.mark.parametrize("argv", [("validate",), ("simulate", "--omega", "0")])
+def test_a_date_past_the_digit_limit_is_a_document_error(capsys, tmp_path, argv):
+    doc = json.loads(corpus_text("branch-race"))
+    for t in doc["transitions"][:2]:  # a and b
+        t["latency"] = {"kind": "const", "value": "1e5000"}
+    path = tmp_path / "big.net"
+    path.write_text(json.dumps(doc))
+    error = _input_error(capsys, argv[0], str(path), *argv[1:])
+    assert error == {
+        "kind": "document",
+        "problems": [
+            f"transitions[{i}].latency.value: bad number '1e5000': exponent too large"
+            for i in (0, 1)
+        ],
+    }
+
+
+def test_a_product_past_the_digit_limit_is_a_net_error(capsys, tmp_path):
+    big = {"kind": "num", "value": "1e3000"}
+    doc = {
+        "format_version": 1,
+        "kind": "occurrence",
+        "omega_count": 1,
+        "places": [
+            {"id": "p", "initial_value": big},
+            {"id": "q", "initial_value": big},
+            {"id": "r"},
+        ],
+        "transitions": [
+            {
+                "id": "t",
+                "pre": ["p", "q"],
+                "post": ["r"],
+                "latency": {
+                    "kind": "expr",
+                    "expr": {"op": "mul", "args": [{"op": "input", "index": i} for i in (0, 1)]},
+                },
+            }
+        ],
+    }
+    path = tmp_path / "product.net"
+    path.write_text(json.dumps(doc))
+    error = _input_error(capsys, "simulate", str(path), "--omega", "0")
+    assert error["kind"] == "net"
+    assert error["message"].startswith("number too large to print: Exceeds the limit (4300 digits)")
 
 
 def test_deeply_nested_document_is_an_input_error(capsys, tmp_path):
@@ -634,3 +686,58 @@ def test_a_zero_cap_is_accepted(capsys):
     code, report = run_cli(capsys, "oracle", "corpus:branch-race", "--cap", "0")
     assert code == 3
     assert report["outcome"] == "undecided"
+
+
+# ---------------------------------------------------------------------------
+# exit codes
+
+
+def _edited_corpus(tmp_path, name, transition, post):
+    doc = json.loads(corpus_text(name))
+    for t in doc["transitions"]:
+        if t["id"] == transition:
+            t["post"] = post
+    path = tmp_path / f"{name}-{transition}.net"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+DOCUMENTS = {
+    "tie": _tie_document,
+    "two-producers": lambda tmp_path: _edited_corpus(tmp_path, "branch-race", "b", ["p1"]),
+    "stuck": lambda tmp_path: _edited_corpus(tmp_path, "choice-join", "b", ["o"]),
+}
+
+
+@pytest.mark.parametrize(
+    "argv, key, word, code",
+    [
+        ("validate corpus:branch-race", "status", "valid", 0),
+        ("validate two-producers", "status", "invalid-net", 1),
+        ("validate stuck", "status", "unsound", 1),
+        ("validate corpus:choice-join --cap 2", "status", "undecided", 3),
+        ("check-structural corpus:choice-join", "satisfied", True, 0),
+        ("check-structural corpus:branch-race", "satisfied", False, 1),
+        ("check-global corpus:channel-grab --omega 1", "status", "holds", 0),
+        ("check-global corpus:channel-grab --omega 0", "status", "violated", 1),
+        ("check-global corpus:channel-grab --omega 0 --cap 0", "status", "undecided", 3),
+        ("oracle corpus:choice-join --mode adjacent", "outcome", "monotonic", 0),
+        ("oracle corpus:branch-race", "outcome", "non_monotonic", 1),
+        ("oracle corpus:branch-race --cap 0", "outcome", "undecided", 3),
+        ("check-conditional corpus:branch-race", "outcome", "conditionally_monotonic", 0),
+        ("check-conditional tie --tie all --force-brute", "outcome", "non_monotonic", 1),
+        ("check-conditional corpus:branch-race --force-brute --cap 0", "outcome", "undecided", 3),
+        ("counterexample corpus:choice-join --omega 0", "outcome", "monotonic", 0),
+        ("counterexample corpus:branch-race --omega 0", "outcome", "non_monotonic", 1),
+        ("counterexample corpus:overlap-cluster --omega 0", "outcome", "undecided", 3),
+        ("simulate corpus:branch-race --omega 0", "command", "simulate", 0),
+        ("unfold corpus:choice-join", "command", "unfold", 0),
+    ],
+)
+def test_every_outcome_maps_to_its_exit_code(capsys, tmp_path, argv, key, word, code):
+    # 0 holds, 1 violated, 3 undecided, as the README promises
+    command, file, *options = argv.split()
+    if file in DOCUMENTS:
+        file = DOCUMENTS[file](tmp_path)
+    got, report = run_cli(capsys, command, file, *options)
+    assert (got, report[key]) == (code, word)

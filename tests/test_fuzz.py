@@ -121,31 +121,30 @@ def base_documents() -> list[tuple[str, str]]:
     return docs
 
 
-def run_mutants(name: str, text: str, seed: int, tmp_path) -> Counter:
-    rng = random.Random(seed)
+def seeded_mutants():
+    """The mutants, named ``<document>-<k>``: ``MUTANTS`` per base document,
+    drawn in turn from one generator seeded by the document's position."""
+    for i, (name, text) in enumerate(base_documents()):
+        rng = random.Random(7700 + i)
+        for k in range(MUTANTS):
+            yield f"{name}-{k}", mutate(text, rng)
+
+
+def test_mutants_of_every_document_end_in_a_report(tmp_path):
     codes = Counter()
-    for k in range(MUTANTS):
-        path = tmp_path / f"{name}-{k}.net"
-        path.write_text(json.dumps(mutate(text, rng)), encoding="utf-8")
+    for name, doc in seeded_mutants():
+        path = tmp_path / f"{name}.net"
+        path.write_text(json.dumps(doc), encoding="utf-8")
         for args in INVOCATIONS:
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main([args[0], str(path), *args[1:]])
-            where = f"{args} on mutant {k} of {name}:\n{path.read_text(encoding='utf-8')}"
+            where = f"{args} on mutant {name}:\n{path.read_text(encoding='utf-8')}"
             assert code in (0, 1, 2, 3), where
             assert isinstance(json.loads(out.getvalue()), dict), where
             assert err.getvalue() == "", where
             codes[code] += 1
-    return codes
-
-
-def test_mutants_of_every_document_end_in_a_report(tmp_path):
-    docs = base_documents()
-    assert len(docs) == 24
-    codes = Counter()
-    for i, (name, text) in enumerate(docs):
-        codes += run_mutants(name, text, 7700 + i, tmp_path)
-    assert sum(codes.values()) == len(docs) * MUTANTS * len(INVOCATIONS)
+    assert sum(codes.values()) == 24 * MUTANTS * len(INVOCATIONS)  # 24 base documents
     # the edits reach past the parser: a sixth of the runs are judged
     assert codes[0] + codes[1] + codes[3] > sum(codes.values()) // 6
     assert min(codes[0], codes[1], codes[3]) > 0

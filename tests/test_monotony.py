@@ -500,15 +500,17 @@ def test_synthesis_reuses_the_unfolding_and_its_validation(monkeypatch):
     assert unfolded.count(result.unfolding) == 1
 
 
-def test_synthesis_reuses_the_family_that_build_induced(monkeypatch):
+@pytest.mark.parametrize("source", ["channel-grab", "generated"])
+def test_synthesis_after_build_induces_one_family(monkeypatch, source):
     from orchnet import unfolding
 
-    # what document.build does with a workflow: unfold it, induce its family
-    gen = random_workflow(random.Random(5), 6, force_diff=True, name="family")
-    carrier, specs = gen.workflow, gen.specs
-    result = unfold(carrier)
-    pre = unfolding.induced_preorchnet(result, carrier.net, specs)
-    assert unfolding.induced_preorchnet(result, carrier.net, specs) is pre
+    from .report_corpus import workflow_document
+
+    if source == "generated":
+        gen = random_workflow(random.Random(5), 6, force_diff=True, name="family")
+        doc = workflow_document(gen)
+    else:
+        doc = load_corpus(source)
     made = []
     real = unfolding.PreOrchNet
 
@@ -517,9 +519,9 @@ def test_synthesis_reuses_the_family_that_build_induced(monkeypatch):
         return real(**fields)
 
     monkeypatch.setattr(unfolding, "PreOrchNet", counting)
-    outcome = synthesize_counterexample(carrier, specs, 0)
+    # what the counterexample subcommand does
+    built = build(doc)
+    assert not structural_check(built.carrier).satisfied
+    outcome = synthesize_counterexample(built.carrier, built.specs, 0)
     assert outcome.verification.accepted
-    assert outcome.lo.net is pre.net and not made
-    # other specs objects, even equal ones, induce a family of their own
-    other = unfolding.induced_preorchnet(result, carrier.net, replace(specs))
-    assert other is not pre and made == [pre.net]
+    assert made == [outcome.unfolding.unfolding]

@@ -36,7 +36,7 @@ from orchnet import (
 )
 from orchnet.attributes import atom, value_sort_key
 from orchnet.errors import CapExceededError, EvaluationError
-from orchnet.monotony import ConditionalReport, ConditionalWitness, OracleReport, OracleWitness
+from orchnet.monotony import ConditionalReport, GridWitness, OracleReport
 from orchnet.specs import GuardOperand, GuardSpec, ValueFnSpec
 from orchnet.timed import FamilyAssignment, RaceKernel, end_to_end, execute_all, summarize_run
 
@@ -168,7 +168,7 @@ def ref_oracle(pre, tie_break="lex", mode="all_pairs", eval_cap=1_000_000) -> Or
             for hi_res in results_of(hi_idx, omega):
                 for lo_res in results_of(lo_idx, omega):
                     if hi_res.latency < lo_res.latency:
-                        return OracleWitness(
+                        return GridWitness(
                             hi=members[hi_idx],
                             lo=members[lo_idx],
                             omega=omega,
@@ -240,7 +240,7 @@ def ref_conditional_brute(pre, eval_cap=1_000_000) -> ConditionalReport:
                             outcome="non_monotonic",
                             path="brute_force",
                             grid_relative=True,
-                            witness=ConditionalWitness(
+                            witness=GridWitness(
                                 hi=members[hi_idx],
                                 lo=members[lo_idx],
                                 omega=omega,
