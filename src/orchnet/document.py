@@ -516,7 +516,7 @@ class BuiltDocument:
     @cached_property
     def pre(self) -> PreOrchNet:
         """The grid family on the unfolding, induced when first read."""
-        return induced_preorchnet(self.unfolding, self.carrier_net, self.specs)
+        return induced_preorchnet(self.unfolding, self.specs)
 
 
 def document_net(doc: NetDocument) -> Net:

@@ -43,7 +43,6 @@ from .timed import (
     EndToEnd,
     FamilyAssignment,
     GridIndex,
-    KernelRun,
     OrchNet,
     PreOrchNet,
     _date,
@@ -221,7 +220,6 @@ def brute_force_monotony(
         pre,
         mode,
         tie_break,
-        lambda hi, lo: hi.latency < lo.latency,
         eval_cap,
         f"oracle exceeded evaluation cap {eval_cap}",
     )
@@ -251,7 +249,6 @@ def _sweep(
     pre: PreOrchNet,
     mode: str,
     tie_break: str,
-    violates,
     eval_cap: int,
     cap_message: str,
     values: bool = False,
@@ -259,31 +256,46 @@ def _sweep(
     """Walk dominating member pairs (hi, lo) in canonical order and stop at
     the first violation.
 
-    Members are raced on ``pre.kernel``; the outcomes of one member under
-    ``tie_break`` are memoised in one table per omega, keyed by member
-    index, and charged to one budget of ``eval_cap`` evaluations.  A pair
-    violates at an omega when ``violates(h, l)`` holds for some hi outcome
-    h and lo outcome l, both ``KernelRun``s (with their value sets when
-    ``values`` is set).  A pair whose two members share one outcome tuple
-    cannot violate.  The violating pair alone is instantiated and raced
-    again through ``resolutions`` for the ``GridWitness``.  Both races run
-    the same loop, so comparing them checks the kernel's grid-digit
-    latencies against the member's own specs.
+    Members are raced on ``pre.kernel`` and charged to one budget of
+    ``eval_cap`` evaluations; what a member's race gave at an omega is kept
+    in that omega's table, keyed by member index.  Under lex the table
+    holds the member's latency, with its value set in a second table when
+    ``values`` is set, so a pair compares two entries: it violates when
+    hi's latency is below lo's (and, with ``values``, both deliver one
+    value set).  Under ``all`` the table holds the member's runs, one per
+    tie resolution, and a pair violates when some hi run and some lo run
+    do.  The violating pair alone is instantiated and raced again through
+    ``resolutions`` for the ``GridWitness``.  Both races run the same
+    loop, so comparing them checks the kernel's grid-digit latencies
+    against the member's own specs.
+
+    In all_pairs mode the pairs of one hi form a block: the members hi
+    dominates, in index order.  The block's first pair is checked as any
+    pair is, which evaluates hi at every omega.  Under lex, if every other
+    member of the block is in every omega's table by then, one scan per
+    omega settles the rest: none of its pairs violates when hi's latency
+    is at least their largest.  Its pairs are then counted with no member
+    evaluated, as walking them would have done.  Otherwise, or when the
+    scan finds a larger latency, the rest is walked pair by pair, which
+    finds the first violation and charges the budget in walk order.
 
     Under lex a member is not always raced.  Take the member one step lower
     in value in a class coordinate k.  If its run is memoised at this omega
     and fired no transition of class k, it is this member's run too: each
     transition of class k was killed by a rival or never enabled, and a
     later date keeps it so, while every date of the run is a max-plus
-    expression of the fired transitions alone.  That run's outcomes are
-    stored for this member, which is charged to the budget as a raced one.
+    expression of the fired transitions alone.  That run's latency and
+    value set are stored for this member, which is charged to the budget as
+    a raced one.
     Place coordinates are never reused (a start date bounds every run), nor
     is anything under ``all``, whose tie groups read rivals that never fire.
     """
     grid = pre.grid_index
-    # per omega: the memo (member index -> outcomes) and, where a member can
-    # be reused, the class coordinates each memoised run fired, one bit each
-    tables = [(omega, {}, {}) for omega in range(pre.omega_count)]
+    lex = tie_break == "lex"
+    # per omega: its table, its value sets (under lex, when asked for) and,
+    # where a member can be reused, the class coordinates each memoised run
+    # fired, one bit each
+    tables = [(omega, {}, {}, {}) for omega in range(pre.omega_count)]
     budget = eval_cap
     pairs_checked = 0
     # under lex, per gridded class coordinate: its bit, and per digit the
@@ -296,12 +308,10 @@ def _sweep(
             tuple(0 if e is None else (e - d) * stride for d, e in enumerate(down)),
         )
         for k, (down, stride) in enumerate(zip(grid.lowers[: len(grid.class_ids)], grid.strides))
-        if len(down) > 1 and tie_break == "lex"
+        if len(down) > 1 and lex
     ]
 
-    def race(
-        idx: int, omega: int, memo: dict[int, tuple[KernelRun, ...]], fired_classes: dict[int, int]
-    ) -> tuple[KernelRun, ...]:
+    def race(idx: int, omega: int, memo: dict, vals: dict, fired_classes: dict[int, int]):
         nonlocal budget
         if budget <= 0:
             raise CapExceededError(cap_message)
@@ -312,87 +322,129 @@ def _sweep(
                 fired = fired_classes.get(idx + step)
                 if fired is not None and not fired & bit:
                     fired_classes[idx] = fired
-                    memo[idx] = runs = memo[idx + step]
-                    return runs
+                    if values:
+                        vals[idx] = vals[idx + step]
+                    memo[idx] = entry = memo[idx + step]
+                    return entry
         kernel = pre.kernel
-        memo[idx] = runs = kernel.race(idx, omega, tie_break, values=values)
+        runs = kernel.race(idx, omega, tie_break, values=values)
+        if not lex:
+            memo[idx] = runs
+            return runs
+        (run,) = runs
         if lowers:
             fired = 0
-            for bit in map(kernel.class_bit.__getitem__, runs[0].fired):
+            for bit in map(kernel.class_bit.__getitem__, run.fired):
                 fired |= bit
             fired_classes[idx] = fired
-        return runs
+        if values:
+            vals[idx] = run.values
+        memo[idx] = run.latency
+        return run.latency
 
-    def replay(idx: int, omega: int, runs: tuple[KernelRun, ...], run: KernelRun) -> EndToEnd:
+    def replay(idx: int, omega: int, position: int, latency, value_set) -> EndToEnd:
         member = grid.member(idx)
-        # the runs of a member have distinct fired sets
-        outcome = resolutions(pre.instantiate(member), omega, tie_break)[runs.index(run)]
-        if outcome.latency != _date(run.latency) or (
-            values and outcome.values != run.values
-        ):
+        outcome = resolutions(pre.instantiate(member), omega, tie_break)[position]
+        if outcome.latency != _date(latency) or (values and outcome.values != value_set):
             raise AssertionError(
                 f"grid latencies disagree with the specs of member {member} at omega {omega}"
             )
         return outcome
 
+    def witness(hi: int, lo: int, omega: int, h, l) -> GridWitness:
+        # h and l: (position among the member's runs, latency, value set)
+        hi_res = replay(hi, omega, *h)
+        lo_res = replay(lo, omega, *l)
+        return GridWitness(
+            hi=grid.member(hi),
+            lo=grid.member(lo),
+            omega=omega,
+            latency_hi=hi_res.latency,
+            latency_lo=lo_res.latency,
+            values=tuple(sorted(hi_res.values, key=value_sort_key)) if values else (),
+            resolution_hi=() if lex else hi_res.run.step_order,
+            resolution_lo=() if lex else lo_res.run.step_order,
+        )
+
+    def decided(hi: int, rest: list[int]) -> bool:
+        # the first pair of hi's block evaluated hi at every omega
+        nonlocal pairs_checked
+        try:
+            for _, memo, _, _ in tables:
+                if memo[hi] < max(map(memo.__getitem__, rest)):
+                    return False
+        except KeyError:  # a member of the block is not evaluated yet
+            return False
+        pairs_checked += len(rest)
+        return True
+
     try:
-        for pairs_checked, (hi_idx, lo_idx) in enumerate(_dominating_pairs(grid, mode), 1):
-            for omega, memo, fired_classes in tables:
-                lo_all = memo.get(lo_idx) or race(lo_idx, omega, memo, fired_classes)
-                hi_all = memo.get(hi_idx) or race(hi_idx, omega, memo, fired_classes)
-                if hi_all is lo_all:
+        for hi, lo in _dominating_pairs(grid, mode, decided if lex else None):
+            pairs_checked += 1
+            for omega, memo, vals, fired_classes in tables:
+                l = memo.get(lo)
+                if l is None:
+                    l = race(lo, omega, memo, vals, fired_classes)
+                h = memo.get(hi)
+                if h is None:
+                    h = race(hi, omega, memo, vals, fired_classes)
+                if lex:
+                    if h < l and (not values or vals[hi] == vals[lo]):
+                        found = witness(hi, lo, omega, (0, h, vals.get(hi)), (0, l, vals.get(lo)))
+                        return _SweepResult(found, pairs_checked, "")
                     continue
-                for h in hi_all:
-                    for l in lo_all:
-                        if violates(h, l):
-                            hi_res = replay(hi_idx, omega, hi_all, h)
-                            lo_res = replay(lo_idx, omega, lo_all, l)
-                            witness = GridWitness(
-                                hi=grid.member(hi_idx),
-                                lo=grid.member(lo_idx),
-                                omega=omega,
-                                latency_hi=hi_res.latency,
-                                latency_lo=lo_res.latency,
-                                values=tuple(sorted(hi_res.values, key=value_sort_key))
-                                if values
-                                else (),
-                                resolution_hi=hi_res.run.step_order if tie_break == "all" else (),
-                                resolution_lo=lo_res.run.step_order if tie_break == "all" else (),
+                for i, hr in enumerate(h):
+                    for j, lr in enumerate(l):
+                        if hr.latency < lr.latency and (not values or hr.values == lr.values):
+                            found = witness(
+                                hi, lo, omega,
+                                (i, hr.latency, hr.values), (j, lr.latency, lr.values),
                             )
-                            return _SweepResult(witness, pairs_checked, "")
+                            return _SweepResult(found, pairs_checked, "")
     except CapExceededError as exc:
         return _SweepResult(None, pairs_checked, str(exc))
     return _SweepResult(None, pairs_checked, "")
 
 
-def _dominating_pairs(grid: GridIndex, mode: str):
-    """Index pairs (hi, lo) with hi dominating lo, hi != lo.
+def _dominating_pairs(grid: GridIndex, mode: str, decided=None):
+    """Index pairs (hi, lo) with hi dominating lo, hi != lo, in walk order.
 
     "adjacent": for each lo in index order, raise one coordinate at a time
-    to its next larger value.  "all_pairs": for each hi in index order, the
-    dominated lo in increasing index order, as the product of the
-    per-coordinate dominated digits.
+    to its next larger value.  "all_pairs": for each hi in index order, its
+    block: the members it dominates other than itself, in increasing index
+    order, as the product of the per-coordinate dominated digits.  When
+    the first pair of a block has been walked, ``decided(hi, rest)`` may
+    settle the rest of it: if it returns true, those pairs are not yielded.
     """
     if mode == "adjacent":
-        # per coordinate and digit: the index offset of its raise, 0 at the top
+        # per coordinate of more than one digit, and per digit: the index
+        # offset of its raise, 0 at the top
         offsets = [
             [0 if up is None else (up - d) * stride for d, up in enumerate(ups)]
             for ups, stride in zip(grid.raises, grid.strides)
+            if len(ups) > 1
         ]
         for lo, steps in enumerate(product(*offsets)):
             for step in steps:
                 if step:
                     yield lo + step, lo
     elif mode == "all_pairs":
-        radices = [range(len(ds)) for ds in grid.digits]
+        # per coordinate of more than one digit, and per digit: the index
+        # offsets of the digits it dominates
         offsets = [
             [tuple(e * stride for e in lows) for lows in per_digit]
             for per_digit, stride in zip(grid.dominated, grid.strides)
+            if len(per_digit) > 1
         ]
-        for hi, digits in enumerate(product(*radices)):
-            for parts in product(*(offsets[k][d] for k, d in enumerate(digits))):
-                lo = sum(parts)
-                if lo != hi:
+        for hi, parts in enumerate(product(*offsets)):
+            block = list(map(sum, product(*parts)))
+            block.remove(hi)
+            if not block:
+                continue
+            yield hi, block[0]
+            rest = block[1:]
+            if rest and not (decided and decided(hi, rest)):
+                for lo in rest:
                     yield hi, lo
     else:
         raise NetStructureError(f"unknown oracle mode {mode!r}")
@@ -496,7 +548,7 @@ def synthesize_counterexample(
     unf = result.unfolding
     phi = result.morphism.node_map
     rel = require_occurrence_net(unf)  # memoized: the unfolder validated unf
-    pre = induced_preorchnet(result, net, specs)
+    pre = induced_preorchnet(result, specs)
 
     base = _finite_baseline(pre, omega_star)
     group_of, group_members = _modification_groups(pre, specs, phi)
@@ -888,7 +940,6 @@ def conditional_monotony_check(
         pre,
         "all_pairs",
         tie_break,
-        lambda hi, lo: hi.values == lo.values and hi.latency < lo.latency,
         eval_cap,
         f"conditional check exceeded evaluation cap {eval_cap}",
         values=True,

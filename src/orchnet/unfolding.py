@@ -309,7 +309,7 @@ class CarrierSpecs:
     initial_value: dict[str, Value] = field(default_factory=dict)  # default: atom(place)
 
 
-def induced_preorchnet(result: UnfoldingResult, carrier: Net, specs: CarrierSpecs) -> PreOrchNet:
+def induced_preorchnet(result: UnfoldingResult, specs: CarrierSpecs) -> PreOrchNet:
     """Transfer carrier annotations onto the unfolding through the morphism.
 
     Every copy of a carrier transition shares that transition's specs, and

@@ -88,7 +88,7 @@ def one_document(text: str, omega: int, clock) -> tuple[list[float], object]:
     specs = document.carrier_specs(doc, net)
     marks.append(clock())
     identity = UnfoldingResult(unfolding=net, morphism=Morphism({n: n for n in net.nodes}))
-    pre = induced_preorchnet(identity, net, specs)
+    pre = induced_preorchnet(identity, specs)
     marks.append(clock())
     orch = pre.baseline()
     marks.append(clock())

@@ -46,7 +46,7 @@ class GeneratedNet:
 
     def unfolded_pre(self) -> PreOrchNet:
         result = unfold(self.workflow)
-        return induced_preorchnet(result, self.workflow.net, self.specs)
+        return induced_preorchnet(result, self.specs)
 
 
 def grid_members(pre: PreOrchNet) -> tuple[FamilyAssignment, ...]:

@@ -21,6 +21,8 @@ from functools import lru_cache
 from operator import ge
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orchnet import (
     PreOrchNet,
@@ -35,8 +37,8 @@ from orchnet import (
     per_omega_latency,
 )
 from orchnet.attributes import atom, value_sort_key
-from orchnet.errors import CapExceededError, EvaluationError
-from orchnet.monotony import ConditionalReport, GridWitness, OracleReport
+from orchnet.errors import CapExceededError, EvaluationError, NetStructureError
+from orchnet.monotony import ConditionalReport, GridWitness, OracleReport, _dominating_pairs
 from orchnet.specs import GuardOperand, GuardSpec, ValueFnSpec
 from orchnet.timed import FamilyAssignment, RaceKernel, end_to_end, execute_all, summarize_run
 
@@ -396,14 +398,7 @@ def test_odd_grids_put_ten_before_two():
 @pytest.mark.parametrize("grids", ODD_GRIDS)
 @pytest.mark.parametrize("cap", [0, 1, 2, 3, 5, 8, 13])
 def test_tight_caps_stop_at_the_same_pair(grids, cap):
-    pre = _odd_grid_pre(*grids)
-    for mode in ("adjacent", "all_pairs"):
-        got = brute_force_monotony(pre, mode=mode, eval_cap=cap)
-        assert got == ref_oracle(pre, mode=mode, eval_cap=cap), mode
-    got = brute_force_monotony(pre, tie_break="all", eval_cap=cap)
-    assert got == ref_oracle(pre, tie_break="all", eval_cap=cap)
-    got = conditional_monotony_check(pre, force_brute=True, eval_cap=cap)
-    assert got == ref_conditional_brute(pre, eval_cap=cap)
+    assert_every_cap_matches_the_reference(_odd_grid_pre(*grids), [cap])
 
 
 @pytest.mark.parametrize("name", ["branch-race", "channel-grab", "choice-join", "overlap-cluster"])
@@ -500,6 +495,132 @@ def test_a_violation_at_the_second_omega_matches_the_reference():
         assert (got.witness.omega, str(got.witness.latency_hi), str(got.witness.latency_lo)) == (1, "2", "11")
     assert brute_force_monotony(pre, tie_break="all") == ref_oracle(pre, tie_break="all")
     assert conditional_monotony_check(pre, force_brute=True) == ref_conditional_brute(pre)
+
+
+# ---------------------------------------------------------------------------
+# Drawn grids: every cap, both modes, both tie policies.  An all_pairs block
+# is the members that one hi dominates; the sweep settles the rest of a
+# block in one scan when its members are already evaluated, and walks it
+# pair by pair otherwise.  Grids whose string order is not their value
+# order ("10" before "2", "1/3" after "1") give blocks that reach members
+# the walk has not evaluated yet.
+
+GRID_POOL = ("0", "1/3", "1", "2", "10", "inf")
+INVERSIONS = (("10", "2"), ("1", "1/3"))
+
+
+@st.composite
+def drawn_pres(draw) -> PreOrchNet:
+    """The race of ``_odd_grid_pre`` with one class per transition, so
+    that raising ``a`` can hand the race to a faster tail, and drawn
+    grids, value functions, per-omega latencies and start dates; at most
+    48 members."""
+    omegas = draw(st.integers(1, 3))
+    pool = st.sampled_from(GRID_POOL)
+    finite = st.sampled_from(GRID_POOL[:-1])
+
+    def grid(values, most, inverted=False):
+        # with ``inverted``, two of the values sort by string against their order
+        start = draw(st.sampled_from(INVERSIONS)) if inverted else ()
+        more = st.lists(values, min_size=not start, max_size=most - len(start), unique=True)
+        return tuple(date_of(v) for v in dict.fromkeys((*start, *draw(more))))
+
+    def per_omega():
+        return per_omega_latency(draw(finite) for _ in range(omegas))
+
+    net = _odd_grid_pre(("1",), ("1",)).net
+    transitions = sorted(net.transitions)
+    class_grid = {"a": grid(pool, 3, inverted=True), "b": grid(pool, 2)}
+    for t in ("ta", "tb"):
+        if draw(st.booleans()):
+            class_grid[t] = grid(pool, 2, inverted=True)
+    fns = (ValueFnSpec(kind="tuple_of_inputs"), const_value_fn(atom("out")), None)
+    value_fn = {}
+    for t in transitions:
+        fn = draw(st.sampled_from(fns))
+        value_fn[t] = const_value_fn(atom(t)) if fn is None else fn
+    return PreOrchNet(
+        net=net,
+        value_fn=value_fn,
+        classes={t: frozenset({t}) for t in transitions},
+        class_spec={t: per_omega() for t in transitions},
+        class_grid=class_grid,
+        initial_date={"p": per_omega()},
+        place_grid={"p": grid(finite, 2)} if draw(st.booleans()) else {},
+        omega_count=omegas,
+        upward_closed=True,
+    )
+
+
+def assert_every_cap_matches_the_reference(pre: PreOrchNet, caps) -> None:
+    with shared_races():
+        for cap in caps:
+            for mode in ("adjacent", "all_pairs"):
+                got = brute_force_monotony(pre, mode=mode, eval_cap=cap)
+                assert got == ref_oracle(pre, mode=mode, eval_cap=cap), (mode, cap)
+            got = brute_force_monotony(pre, tie_break="all", eval_cap=cap)
+            assert got == ref_oracle(pre, tie_break="all", eval_cap=cap), ("all", cap)
+            got = conditional_monotony_check(pre, force_brute=True, eval_cap=cap)
+            assert got == ref_conditional_brute(pre, eval_cap=cap), ("conditional", cap)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(drawn_pres())
+def test_drawn_grids_match_the_reference_at_every_cap(pre):
+    evaluations = pre.member_count() * pre.omega_count
+    assert_every_cap_matches_the_reference(pre, range(evaluations + 1))
+
+
+def _block_starts(pre: PreOrchNet) -> list[bool]:
+    """Per all_pairs pair in walk order: whether it opens its hi's block."""
+    his = [hi for hi, _ in _dominating_pairs(pre.grid_index, "all_pairs")]
+    return [n == 0 or hi != his[n - 1] for n, hi in enumerate(his)]
+
+
+@pytest.mark.parametrize(
+    "cap, opens_block",
+    [(4, True), (9, False)],
+    ids=["cap-runs-out-on-a-first-pair", "cap-runs-out-inside-a-block"],
+)
+def test_a_cap_that_runs_out_at_a_block_matches_the_reference(cap, opens_block):
+    pre = _odd_grid_pre(*ODD_GRIDS[1])
+    got = brute_force_monotony(pre, mode="all_pairs", eval_cap=cap)
+    assert got.outcome == "undecided"
+    assert _block_starts(pre)[got.pairs_checked - 1] is opens_block
+    assert_every_cap_matches_the_reference(pre, [cap])
+
+
+def test_a_violation_on_a_first_pair_after_its_block_was_evaluated_matches_the_reference():
+    # a's grid sorts "0", "10", "2" and tb's "1", "1/3", so the block of
+    # (a 10, tb 1) evaluates (a 10, tb 1/3) and (a 2, tb 1/3) before their
+    # own blocks.  (a 10, tb 1/3) then violates on its block's first pair,
+    # against (a 0, tb 1/3): b wins the race, and its tail is faster than
+    # a's; the rest of that block is evaluated and holds no violation
+    net = _odd_grid_pre(("1",), ("1",)).net
+    pre = PreOrchNet(
+        net=net,
+        value_fn={t: ValueFnSpec(kind="tuple_of_inputs") for t in net.transitions},
+        classes={t: frozenset({t}) for t in net.transitions},
+        class_spec={t: const_latency(v) for t, v in (("a", 1), ("b", 10), ("ta", 1), ("tb", 1))},
+        class_grid={
+            "a": tuple(date_of(v) for v in ("2", "0", "10")),
+            "b": (date_of("0"),),
+            "tb": (date_of("1/3"), date_of("1")),
+        },
+        initial_date={"p": const_latency(0)},
+        place_grid={},
+        upward_closed=True,
+    )
+    got = brute_force_monotony(pre, mode="all_pairs")
+    assert (got.outcome, got.pairs_checked) == ("non_monotonic", 7)
+    assert _block_starts(pre)[got.pairs_checked - 1]
+    assert_every_cap_matches_the_reference(pre, range(pre.member_count() + 1))
+
+
+def test_an_unknown_mode_is_a_structure_error():
+    pre = _odd_grid_pre(("2", "10"), ("3",))
+    with pytest.raises(NetStructureError, match="unknown oracle mode 'diagonal'"):
+        brute_force_monotony(pre, mode="diagonal")
 
 
 # ---------------------------------------------------------------------------

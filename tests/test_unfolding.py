@@ -373,7 +373,7 @@ def test_induced_specs_follow_the_morphism():
         upward_closed=True,
     )
     result = unfold(wf)
-    pre = induced_preorchnet(result, wf.net, specs)
+    pre = induced_preorchnet(result, specs)
     assert pre.omega_count == 3
     assert pre.upward_closed
     # declared classes pool copies across members; defaults pool per label
