@@ -24,7 +24,7 @@ value sets; distinct value sets across maximal configurations certify it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import product
 
 from .attributes import DATE_INF, ExtendedDate, Value, date_max, value_sort_key
@@ -463,7 +463,12 @@ class Verification:
 
 
 def verify_counterexample(
-    lo: OrchNet, hi: OrchNet, omega: int, tie_break: str = "lex"
+    lo: OrchNet,
+    hi: OrchNet,
+    omega: int,
+    tie_break: str = "lex",
+    *,
+    lo_resolutions: tuple[EndToEnd, ...] | None = None,
 ) -> Verification:
     """Accept iff hi's families dominate lo's and hi finishes strictly
     earlier at the given omega.  A drop from infinite to finite latency is a
@@ -473,11 +478,17 @@ def verify_counterexample(
     Under tie_break="all" the violation must hold for at least one pair of
     tie resolutions, so the fastest hi run is compared against the slowest
     lo run.
+
+    A caller that has already raced lo passes ``resolutions(lo, omega,
+    tie_break)`` as ``lo_resolutions``, and lo is not raced again; without
+    it, lo is raced here.
     """
     order = compare_families(hi, lo)
     if not order.geq:
         return Verification(accepted=False, reason=f"hi does not dominate lo: {order.reason}")
-    e_lo = max(r.latency for r in resolutions(lo, omega, tie_break))
+    if lo_resolutions is None:
+        lo_resolutions = resolutions(lo, omega, tie_break)
+    e_lo = max(r.latency for r in lo_resolutions)
     e_hi = min(r.latency for r in resolutions(hi, omega, tie_break))
     if e_hi < e_lo:
         return Verification(
@@ -534,6 +545,10 @@ def synthesize_counterexample(
     exhaustively, with descent to earlier racing pairs when the cones
     conflict or steal each other's tokens.  Every candidate is verified by
     simulation before being returned; exhaustion raises SynthesisError.
+
+    A candidate pair shares a preset condition and maps to transitions with
+    differing postsets, so both lie in a violating cluster of the carrier:
+    only the unfolding clusters of events that map into one are built.
     """
     net = carrier.net if isinstance(carrier, WorkflowNet) else carrier
     report = structural_check(carrier)
@@ -551,10 +566,14 @@ def synthesize_counterexample(
     pre = induced_preorchnet(result, specs)
 
     base = _finite_baseline(pre, omega_star)
-    group_of, group_members = _modification_groups(pre, specs, phi)
+    class_of, group = _modification_groups(pre, specs, phi)
+    # the member with the baseline at omega_star, built when first needed:
+    # it raises when some class cannot be given a date there
+    base_member = cache(lambda: _base_member(pre, base, omega_star))
 
     failures: list[str] = []
-    parts = clusters(unf)
+    violating = {n for v in report.violations for n in v.cluster}
+    parts = clusters(unf, [e for e in unf.transitions if phi[e] in violating])
     cluster_of = {t: c.transitions for c in parts for t in c.transitions}
     for cluster in parts:
         events = sorted(cluster.transitions)
@@ -572,7 +591,7 @@ def synthesize_counterexample(
                     continue
                 r1, r2, cone_k = resolved
                 outcome = _attempt(
-                    pre, unf, net, phi, base, group_of, group_members,
+                    pre, unf, net, phi, base, base_member, class_of, group,
                     r1, r2, cluster_of[r1], cone_k, omega_star, tie_break, result, failures,
                 )
                 if outcome is not None:
@@ -616,15 +635,28 @@ def _modification_groups(pre: PreOrchNet, specs: CarrierSpecs, phi: dict[str, st
     """Synthesis modifies latencies per constraint group: events are free
     individually (the induced family choices are per-copy) unless the
     carrier declared an equality class, which ties all copies of all its
-    transitions together."""
-    group_of: dict[str, str] = {}
-    group_members: dict[str, set[str]] = {}
-    for e in pre.net.transitions:
-        cls = specs.latency_class.get(phi[e])
-        gid = f"event:{e}" if cls is None else f"class:{cls}"
-        group_of[e] = gid
-        group_members.setdefault(gid, set()).add(e)
-    return group_of, group_members
+    transitions together.
+
+    Returns ``class_of(e)``, the class of event e in ``pre``, and
+    ``group(e)``, the events whose latency moves with e's.  Only the
+    declared classes' groups are built; any other event is its own group,
+    made when asked for."""
+    declared = specs.latency_class
+    groups = {
+        cls: frozenset(e for e in pre.classes[cls] if declared.get(phi[e]) == cls)
+        for cls in set(declared.values())
+        if cls in pre.classes
+    }
+
+    def class_of(e: str) -> str:
+        t = phi[e]
+        return declared.get(t, t)
+
+    def group(e: str):
+        cls = declared.get(phi[e])
+        return (e,) if cls is None else groups[cls]
+
+    return class_of, group
 
 
 def _descend(unf: Net, carrier: Net, rel, phi, t1: str, t2: str):
@@ -686,8 +718,9 @@ def _attempt(
     carrier: Net,
     phi,
     base: dict[str, ExtendedDate],
-    group_of: dict[str, str],
-    group_members: dict[str, set[str]],
+    base_member,
+    class_of,
+    group,
     t1: str,
     t2: str,
     cluster_events: frozenset[str],
@@ -710,21 +743,25 @@ def _attempt(
         failures.append(f"({t1},{t2}): no consumable residual place after the winner")
         return None
 
-    lo_lat: dict[str, ExtendedDate] = dict(base)
+    # lo's dates at omega_star where they differ from the baseline
+    raised: dict[str, ExtendedDate] = {}
+
+    def lo_date(event: str) -> ExtendedDate:
+        return raised.get(event, base[event])
 
     # dates over the forced prefix K under the finite baseline
-    k_dates = eval_dates(_materialize(pre, lo_lat, omega_star), omega_star, cone_k).dates
+    k_dates = eval_dates(base_member(), omega_star, cone_k).dates
     n_star = date_max(k_dates.values())
 
     def raise_group(event: str, floor: ExtendedDate) -> bool:
         """Raise the whole constraint group to at least ``floor``; refuse if
         that would touch the forced prefix or the winner."""
-        for member in group_members[group_of[event]]:
-            if member == t1 or member in k_events:
-                return False
-        for member in group_members[group_of[event]]:
-            if lo_lat[member] < floor:
-                lo_lat[member] = floor
+        members = group(event)
+        if t1 in members or not k_events.isdisjoint(members):
+            return False
+        for member in members:
+            if lo_date(member) < floor:
+                raised[member] = floor
         return True
 
     # make K occur: every rival of a K event loses its race
@@ -739,7 +776,7 @@ def _attempt(
                     return None
 
     # rig the cluster race: t1's date is strictly minimal among its rivals
-    d1 = date_max(k_dates[p] for p in unf.preset[t1]) + lo_lat[t1]
+    d1 = date_max(k_dates[p] for p in unf.preset[t1]) + lo_date(t1)
     for u in sorted(cluster_events):
         if u == t1 or u in k_events:
             continue
@@ -747,46 +784,34 @@ def _attempt(
             failures.append(f"({t1},{t2}): cluster rival {u!r} shares a constraint group with the prefix")
             return None
 
-    # the maximal configurations in order, searched once for all residuals
-    # and only as far as some residual needed
-    search = iter_maximal_configurations(unf)
-    searched: list[frozenset[str]] = []
-
-    def configurations():
-        yield from searched
-        for config in search:
-            searched.append(config)
-            yield config
-
     for residual in residuals:
         starved = tuple(sorted(unf.postset[residual]))
-        lat = dict(lo_lat)
-        ok = True
+        infinite: set[str] | None = set()
         for consumer in starved:
-            group = group_members[group_of[consumer]]
-            if t1 in group or group & k_events:
-                ok = False
+            members = group(consumer)
+            if t1 in members or not k_events.isdisjoint(members):
+                infinite = None
                 break
-            for member in group:
-                lat[member] = DATE_INF
-        if not ok:
+            infinite.update(members)
+        if infinite is None:
             failures.append(f"({t1},{t2}): consumers of {residual!r} overlap the forced prefix")
             continue
 
-        lo = _materialize(pre, lat, omega_star)
-        if not any(
-            not r.latency.is_finite and t1 in r.run.fired
-            for r in resolutions(lo, omega_star, tie_break)
-        ):
+        lat = raised | dict.fromkeys(infinite, DATE_INF)
+        lo = _materialize(pre, base_member().latency, lat, class_of, omega_star)
+        lo_runs = resolutions(lo, omega_star, tie_break)
+        if not any(not r.latency.is_finite and t1 in r.run.fired for r in lo_runs):
             failures.append(
                 f"({t1},{t2},{residual}): forced run did not stall behind the winner"
             )
             continue
 
-        # finite alternative maximal configuration under lo
+        # the first finite maximal configuration under lo: one that holds an
+        # event of infinite latency is infinite, so the search skips those,
+        # but a false guard can still make one infinite
         alternative = None
         alt_latency = None
-        for config in configurations():
+        for config in iter_maximal_configurations(unf, forbidden=frozenset(infinite)):
             lat_cfg = latency_of_prefix(lo, omega_star, config)
             if lat_cfg.is_finite:
                 alternative = config
@@ -796,15 +821,15 @@ def _attempt(
             failures.append(f"({t1},{t2},{residual}): every maximal configuration is infinite")
             continue
 
-        hi_lat = dict(lat)
         floor = alt_latency + ExtendedDate(1)
-        for t in sorted(unf.transitions - alternative):
-            for member in group_members[group_of[t]]:
-                if hi_lat[member] < floor:
-                    hi_lat[member] = floor
-        hi = _materialize(pre, hi_lat, omega_star)
+        hi_raised: dict[str, ExtendedDate] = {}
+        for t in unf.transitions - alternative:
+            for member in group(t):
+                if member not in hi_raised and lat.get(member, base[member]) < floor:
+                    hi_raised[member] = floor
+        hi = _materialize(pre, lo.latency, hi_raised, class_of, omega_star)
 
-        verification = verify_counterexample(lo, hi, omega_star, tie_break)
+        verification = verify_counterexample(lo, hi, omega_star, tie_break, lo_resolutions=lo_runs)
         if not verification.accepted:
             failures.append(f"({t1},{t2},{residual}): verification rejected ({verification.reason})")
             continue
@@ -827,27 +852,55 @@ def _attempt(
     return None
 
 
-def _materialize(pre: PreOrchNet, lat: dict[str, ExtendedDate], omega_star: int) -> OrchNet:
-    """An OrchNet whose latency at omega_star is ``lat`` and whose other
-    omega columns keep the declared class specs."""
+def _base_member(pre: PreOrchNet, base: dict[str, ExtendedDate], omega_star: int) -> OrchNet:
+    """The OrchNet whose latency at omega_star is the baseline ``base`` and
+    whose other omega columns keep the declared class specs.  A class's
+    events share one spec, made in sorted class order."""
     latency: dict[str, LatencySpec] = {}
     for cls in sorted(pre.classes):
-        spec = pre.class_spec[cls]
-        for e in pre.classes[cls]:
-            target = lat[e]
-            if spec.is_tabular() and spec.value_at(omega_star) == target:
-                latency[e] = spec
-                continue
-            table = []
-            for omega in range(pre.omega_count):
-                if omega == omega_star:
-                    table.append(target)
-                elif spec.is_tabular():
-                    table.append(spec.value_at(omega))
-                else:
-                    raise SynthesisError(f"class {cls!r} has a non-tabular latency spec")
-            latency[e] = LatencySpec(kind="per_omega", table=tuple(table))
+        members = pre.classes[cls]
+        spec = _spec_at(pre, cls, base[next(iter(members))], omega_star)
+        latency.update(dict.fromkeys(members, spec))
     return pre.assemble(latency, pre.initial_date)
+
+
+def _materialize(
+    pre: PreOrchNet,
+    latency: dict[str, LatencySpec],
+    lat: dict[str, ExtendedDate],
+    class_of,
+    omega_star: int,
+) -> OrchNet:
+    """The OrchNet with the latency specs of ``latency``, except that each
+    event of ``lat`` takes its date there at omega_star and keeps its
+    class's declared spec at every other omega.  The events of one class
+    given one date share one spec."""
+    latency = dict(latency)
+    made: dict[tuple[str, ExtendedDate], LatencySpec] = {}
+    for e, target in lat.items():
+        key = (class_of(e), target)
+        spec = made.get(key)
+        if spec is None:
+            spec = made[key] = _spec_at(pre, *key, omega_star)
+        latency[e] = spec
+    return pre.assemble(latency, pre.initial_date)
+
+
+def _spec_at(pre: PreOrchNet, cls: str, target: ExtendedDate, omega_star: int) -> LatencySpec:
+    """Class ``cls``'s declared spec when it gives ``target`` at omega_star,
+    else a per-omega table of ``target`` there and the spec elsewhere."""
+    spec = pre.class_spec[cls]
+    if spec.is_tabular() and spec.value_at(omega_star) == target:
+        return spec
+    table = []
+    for omega in range(pre.omega_count):
+        if omega == omega_star:
+            table.append(target)
+        elif spec.is_tabular():
+            table.append(spec.value_at(omega))
+        else:
+            raise SynthesisError(f"class {cls!r} has a non-tabular latency spec")
+    return LatencySpec(kind="per_omega", table=tuple(table))
 
 
 # ---------------------------------------------------------------------------

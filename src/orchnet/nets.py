@@ -422,7 +422,7 @@ class Cluster:
     places: frozenset[str]
 
 
-def clusters(net: Net) -> tuple[Cluster, ...]:
+def clusters(net: Net, start: Iterable[str] | None = None) -> tuple[Cluster, ...]:
     """Partition the nodes into minimal closed sets.
 
     A set is closed when it contains the preset of each of its transitions
@@ -431,11 +431,14 @@ def clusters(net: Net) -> tuple[Cluster, ...]:
     are the connected components of the place-to-consumer incidence graph,
     each found in one traversal and given in the order of its least node.
     Components without transitions are degenerate (unconsumed places).
+
+    With ``start``, only the components of those transitions are found, in
+    the same traversal and order, and no degenerate one.
     """
     pre, post = net.preset, net.postset
     seen: set[str] = set()
     found: list[Cluster] = []
-    for t in net.transitions:
+    for t in net.transitions if start is None else start:
         if t in seen:
             continue
         seen.add(t)
@@ -452,9 +455,10 @@ def clusters(net: Net) -> tuple[Cluster, ...]:
                             ts.append(u)
                             todo.append(u)
         found.append(Cluster(nodes=frozenset(ps + ts), transitions=frozenset(ts), places=frozenset(ps)))
-    for p in net.places - seen:  # consumed by no transition
-        alone = frozenset((p,))
-        found.append(Cluster(nodes=alone, transitions=_EMPTY, places=alone))
+    if start is None:
+        for p in net.places - seen:  # consumed by no transition
+            alone = frozenset((p,))
+            found.append(Cluster(nodes=alone, transitions=_EMPTY, places=alone))
     found.sort(key=lambda c: min(c.nodes))
     return tuple(found)
 
@@ -515,9 +519,12 @@ def maximal_transitions(net: Net, nodes: frozenset[str]) -> frozenset[str]:
 _IN, _OUT = 1, 2
 
 
-def iter_maximal_configurations(net: Net, cap: int = 100_000) -> Iterator[frozenset[str]]:
-    """The maximal configurations of the occurrence net ``net``, as node
-    sets, yielded one at a time in the order of their sorted node tuples.
+def iter_maximal_configurations(
+    net: Net, cap: int = 100_000, forbidden: frozenset[str] = frozenset()
+) -> Iterator[frozenset[str]]:
+    """The maximal configurations of the occurrence net ``net`` that hold no
+    event of ``forbidden``, as node sets, yielded one at a time in the
+    order of their sorted node tuples.
 
     Two maximal configurations are never nested, so A sorts before B when
     the least node of their difference lies in A.  A configuration is its
@@ -540,10 +547,15 @@ def iter_maximal_configurations(net: Net, cap: int = 100_000) -> Iterator[frozen
       maximal.
 
     Forced moves drop only branches without a maximal configuration, so
-    the order stands.  The search is lazy: a caller that stops early pays
-    only for the configurations it took.  Raises CapExceededError once the
-    search visits more than ``cap`` nodes: the root plus one per branch
-    taken, so at least one per configuration yielded.
+    the order stands.  An include that would take a forbidden event (e, an
+    event of its undecided past, or a forced one) cuts its branch before
+    any state changes: every configuration below holds that event.  So the
+    search yields the others in the same order, and visits no more nodes
+    than without ``forbidden``.  The search is lazy: a caller that stops
+    early pays only for the configurations it took.  Raises
+    CapExceededError once the search visits more than ``cap`` nodes: the
+    root plus one per branch taken, so at least one per configuration
+    yielded.
     """
     require_occurrence_net(net)  # memoized per net
     # a place's preset is its producer, if any, and its postset its consumers
@@ -600,7 +612,8 @@ def iter_maximal_configurations(net: Net, cap: int = 100_000) -> Iterator[frozen
 
     def include(e: str) -> bool:
         """Put e and its past in, and their rivals out; False when some
-        event gets stuck."""
+        event gets stuck, or, with nothing changed, when e or its past is
+        forbidden."""
         past = [e]
         if not produced.issuperset(pre[e]):
             seen = {e}
@@ -610,6 +623,8 @@ def iter_maximal_configurations(net: Net, cap: int = 100_000) -> Iterator[frozen
                         if not status[q] and q not in seen:
                             seen.add(q)
                             past.append(q)
+        if forbidden and not forbidden.isdisjoint(past):
+            return False
         for x in past:
             status[x] = _IN
             trail.append(x)

@@ -383,19 +383,32 @@ def compare_families(a: OrchNet, b: OrchNet) -> FamilyOrder:
     Expression latencies are only comparable when syntactically equal:
     deciding pointwise inequality of expressions is out of scope.
     """
-    if a.net.nodes != b.net.nodes or a.net.preset != b.net.preset:
+    if a.net is not b.net and (a.net.nodes != b.net.nodes or a.net.preset != b.net.preset):
         return FamilyOrder(geq=False, reason="nets differ")
     if a.omega_count != b.omega_count:
         return FamilyOrder(geq=False, reason="omega domains differ")
 
-    for t in sorted(a.net.transitions):
-        verdict = _spec_geq(a.latency[t], b.latency[t], a.omega_count)
+    # members built on one base share spec objects, so each pair of spec
+    # objects is decided once; the first failure in sorted order is the
+    # least failing transition
+    verdicts: dict[tuple[int, int], object] = {}
+    failing = []
+    for t in a.net.transitions:
+        hi, lo = a.latency[t], b.latency[t]
+        key = (id(hi), id(lo))
+        verdict = verdicts.get(key)
+        if verdict is None:
+            verdict = verdicts[key] = _spec_geq(hi, lo, a.omega_count)
         if verdict is not True:
-            return FamilyOrder(
-                geq=False,
-                witness=(("omega=%d" % verdict) if isinstance(verdict, int) else "spec", t),
-                reason=f"latency of {t!r} is not dominating",
-            )
+            failing.append(t)
+    if failing:
+        t = min(failing)
+        verdict = verdicts[id(a.latency[t]), id(b.latency[t])]
+        return FamilyOrder(
+            geq=False,
+            witness=(("omega=%d" % verdict) if isinstance(verdict, int) else "spec", t),
+            reason=f"latency of {t!r} is not dominating",
+        )
     for p in sorted(a.net.minimal_places):
         verdict = _spec_geq(a.initial_date[p], b.initial_date[p], a.omega_count)
         if verdict is not True:
@@ -409,6 +422,8 @@ def compare_families(a: OrchNet, b: OrchNet) -> FamilyOrder:
 
 def _spec_geq(hi: LatencySpec, lo: LatencySpec, omega_count: int):
     """True, or the offending omega index, or "spec" for incomparable specs."""
+    if hi is lo:  # members built on one base share their unchanged specs
+        return True
     if hi.is_tabular() and lo.is_tabular():
         for omega in range(omega_count):
             if hi.value_at(omega) < lo.value_at(omega):

@@ -1,4 +1,4 @@
-"""Time counterexample synthesis on the seed-11 tail: 80 and 100 transitions.
+"""Time counterexample synthesis on the seed-11 tail: 60, 80 and 100 transitions.
 
 Each draw is ``random_workflow(rng, size, force_diff=True)`` from
 ``tests/randnets.py``, where ``rng = random.Random(11)`` is made once per
@@ -40,7 +40,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SIZES = (80, 100)
+SIZES = (60, 80, 100)
 DRAWS = 8
 
 

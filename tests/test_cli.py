@@ -549,9 +549,9 @@ def test_counterexample_checks_the_carrier_structure_once(capsys, monkeypatch):
     nets_seen: list = []
     real = nets.clusters
 
-    def counting(net):
-        nets_seen.append(net)
-        return real(net)
+    def counting(net, start=None):
+        nets_seen.append((net, None if start is None else frozenset(start)))
+        return real(net, start)
 
     # every binding, so that ``from .nets import clusters`` elsewhere is counted too
     for name, module in list(sys.modules.items()):
@@ -563,10 +563,19 @@ def test_counterexample_checks_the_carrier_structure_once(capsys, monkeypatch):
     unfolding._unfold.cache_clear()
     code, report = run_cli(capsys, "counterexample", "corpus:channel-grab", "--omega", "0")
     assert (code, report["outcome"]) == (1, "non_monotonic")
-    # the carrier's clusters for the structural check, then the unfolding's
-    carrier = build(loads(corpus_text("channel-grab"))).carrier_net
+    # the carrier's clusters for the structural check, then those of the
+    # unfolding's events that map into a violating carrier cluster
+    built = build(loads(corpus_text("channel-grab")))
+    carrier = built.carrier_net
+    violating = {n for v in monotony.structural_check(built.carrier).violations for n in v.cluster}
+    result = unfolding.unfold(built.carrier)
+    phi = result.morphism.node_map
     assert len(nets_seen) == 2
-    assert nets_seen[0] == carrier and nets_seen[1] != carrier
+    assert nets_seen[0] == (carrier, None)
+    unf, start = nets_seen[1]
+    assert unf == result.unfolding and unf != carrier
+    assert start == {e for e in unf.transitions if phi[e] in violating}
+    assert start < unf.transitions
 
 
 def test_counterexample_witnesses_keep_a_declared_initial_value(capsys, tmp_path):

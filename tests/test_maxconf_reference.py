@@ -97,9 +97,9 @@ def test_synthesis_draws_one_configuration_on_seed_11_draw_5_of_60(monkeypatch):
     drawn = Counter()
     real = monotony.iter_maximal_configurations
 
-    def counting(net, cap=100_000):
+    def counting(net, cap=100_000, forbidden=frozenset()):
         drawn["searches"] += 1
-        for config in real(net, cap):
+        for config in real(net, cap, forbidden):
             drawn["configurations"] += 1
             yield config
 
